@@ -5,9 +5,12 @@ satisfies the problem's boundary functionals exactly (Dirichlet, Neumann,
 Robin, mixed, multi-point); the PDE is then collocated on interior tensor
 nodes only.  An unsymmetric-collocation baseline and a benchmark harness
 with arbitrary-precision arithmetic round out the package.
+
+The package root exports what a problem definition needs and the error
+types; everything else is imported from its module (``bcrbf.reporting``,
+``bcrbf.kansa``, ...).
 """
 
-from .constrained import ConstrainedKernel, impose, impose_sequence
 from .errors import (
     BcrbfError,
     DegenerateConstraint,
@@ -18,57 +21,22 @@ from .errors import (
     SingularMatrix,
     UnsupportedOrder,
 )
-from .functionals import (
-    BoundaryFunctional,
-    apply_to_function,
-    apply_to_kernel_slot,
-    bilinear,
-    format_functional,
-    make_dirichlet,
-    make_multipoint,
-    make_neumann,
-    make_robin,
-    parse_functional,
-)
-from .homogenize import (
-    HomogenizationMap,
-    homogenize_1d,
-    homogenize_2d_dirichlet,
-    homogenize_nd,
-)
-from .kansa import kansa_solve
-from .kernels import GaussianKernel
-from .numerics import FLOAT64, Precision, cholesky, lu_factor, lu_solve
+from .functionals import make_robin
+from .numerics import Precision
 from .pseudospectral import (
     BoundaryCondition,
-    Grid,
     OperatorSpec,
     OperatorTerm,
     ProblemSpec,
-    Solution,
-    build_evaluation_matrix,
-    build_grid,
-    build_operator_matrix,
-    laplacian,
-    operational_matrix,
-    product_kernel_eval,
-    product_kernel_partial,
     solve,
 )
-from .reporting import RunReport, emit, error_metrics, run_example, run_sweep
 
 __version__ = "1.0.0"
 
 __all__ = [
     "BcrbfError",
     "BoundaryCondition",
-    "BoundaryFunctional",
-    "ConstrainedKernel",
     "DegenerateConstraint",
-    "FLOAT64",
-    "GaussianKernel",
-    "Grid",
-    "HomogenizationMap",
     "InvalidFunctional",
     "NoHomogenizer",
     "NodeCollision",
@@ -77,38 +45,8 @@ __all__ = [
     "OperatorTerm",
     "Precision",
     "ProblemSpec",
-    "RunReport",
     "SingularMatrix",
-    "Solution",
     "UnsupportedOrder",
-    "apply_to_function",
-    "apply_to_kernel_slot",
-    "bilinear",
-    "build_evaluation_matrix",
-    "build_grid",
-    "build_operator_matrix",
-    "cholesky",
-    "emit",
-    "error_metrics",
-    "format_functional",
-    "homogenize_1d",
-    "homogenize_2d_dirichlet",
-    "homogenize_nd",
-    "impose",
-    "impose_sequence",
-    "kansa_solve",
-    "laplacian",
-    "lu_factor",
-    "lu_solve",
-    "make_dirichlet",
-    "make_multipoint",
-    "make_neumann",
     "make_robin",
-    "operational_matrix",
-    "parse_functional",
-    "product_kernel_eval",
-    "product_kernel_partial",
-    "run_example",
-    "run_sweep",
     "solve",
 ]

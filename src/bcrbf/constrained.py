@@ -14,8 +14,8 @@ point, and every correction trace carries analytic derivative access
 (differentiating the underlying kernel's mixed partials, never numeric
 differentiation).
 
-A ConstrainedKernel is immutable after construction; concurrent evaluation
-is safe.
+A ConstrainedKernel is immutable after construction; like the rest of the
+package it runs in one thread (see ``numerics``).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ u'.  Higher orders are rejected, not truncated.  The nonhomogeneous value
 is carried on the functional itself (``rhs``) so homogenization can consume
 (functional, value) pairs uniformly.
 
-Functionals are immutable value objects and thread-safe.
+Functionals are immutable value objects.
 """
 
 from __future__ import annotations

@@ -3,12 +3,25 @@
 The map M matches all nonhomogeneous boundary data, reducing a problem to
 one with homogeneous boundary conditions via u = v + M and a modified
 right-hand side F = f - (L M).  Construction sweeps the directions in
-order: in each direction the two boundary functionals are matched by a
-minimal-degree polynomial whose coefficients are (linear combinations of)
-the residual data left over from earlier sweeps.  For Dirichlet data this
-reproduces the classic two-stage blending formula; for other functionals
-it is the natural generalization, obtained by solving the same small
-linear system.
+order: in direction d the two boundary functionals are matched by a
+minimal-degree polynomial in x_d whose coefficients are that direction's
+face data minus the functionals applied to the map built so far.  For
+Dirichlet data this is the classic blending formula of transfinite
+interpolation (Gordon & Hall, 1973); for other functionals it is the
+natural generalization, obtained by solving the same small linear system.
+
+M is kept expanded as a flat sum of separable terms
+
+    coeff * prod_e x_e**k_e * g,
+
+where g is the constant 1 or one face's datum, differentiated and frozen
+at fixed coordinates along directions swept after its face's direction;
+the monomials cover every direction g does not vary in.  A functional
+applied along direction d maps each term to one term per point evaluation
+of the functional, by differentiating and freezing g along d.  Terms with
+equal monomials and equal frozen datum are merged, so the map holds few
+terms over few distinct traces, and evaluation memoizes each datum value
+per derivative orders and tangential point.
 
 The polynomial ansatz starts at degree 1 and escalates to 2, then 3, when
 the functional pair is singular on the lower-degree space (e.g. a pair of
@@ -17,178 +30,127 @@ mismatch).  Corner-incompatible data is not rejected: the final sweep's
 directions are matched exactly and earlier ones self-correct only when the
 data are compatible, which is documented behavior.
 
-Maps are immutable after construction and safe to evaluate concurrently.
+A map evaluates at its own precision and memoizes into a dict it owns;
+like the rest of the package it is meant for one thread (see
+``numerics``).
 """
 
 from __future__ import annotations
 
 from .errors import NoHomogenizer
-from .fields import ConstantData, apply_functional, as_data, embed_point
+from .fields import ConstantData, as_data
 from .functionals import make_dirichlet
 
 _MAX_ANSATZ_DEGREE = 3
 
 
-# -- expression nodes ---------------------------------------------------------
-#
-# A tiny closed algebra of fields, each exposing eval(p, orders) = the mixed
-# partial of the node at p.  Products only ever combine factors depending on
-# disjoint coordinate sets, which keeps the Leibniz rule trivial.
-
-
-class _Const:
-    __slots__ = ("c", "dims")
-
-    def __init__(self, c):
-        self.c = c
-        self.dims = frozenset()
-
-    def eval(self, p, orders):
-        if any(orders):
-            return 0 * self.c
-        return self.c
-
-
-class _Monomial:
-    """x_d ** power"""
-
-    __slots__ = ("d", "power", "dims")
-
-    def __init__(self, d, power):
-        self.d = d
-        self.power = power
-        self.dims = frozenset((d,))
-
-    def eval(self, p, orders):
-        o = orders[self.d]
-        if any(v for i, v in enumerate(orders) if i != self.d):
-            return 0
-        k = self.power
+def _monomial_partial(powers, orders, xpowers):
+    """d^orders of prod_e x_e**k_e over the directions with a power;
+    ``xpowers[e][j]`` is x_e**j."""
+    out = 1
+    for k, o, xs in zip(powers, orders, xpowers):
+        if k is None:
+            continue
         if o > k:
             return 0
-        coeff = 1
         for j in range(o):
-            coeff *= k - j
-        return coeff * p[self.d] ** (k - o) if k - o else coeff
-
-
-class _Data:
-    """Boundary data as a field over its tangential coordinates."""
-
-    __slots__ = ("data", "gdims", "dims")
-
-    def __init__(self, data, gdims):
-        self.data = data
-        self.gdims = tuple(gdims)
-        self.dims = frozenset(gdims)
-
-    def eval(self, p, orders):
-        if any(o for i, o in enumerate(orders) if i not in self.dims):
-            return 0
-        torders = tuple(orders[g] for g in self.gdims)
-        tpoint = tuple(p[g] for g in self.gdims)
-        return self.data.partial_multi(torders, tpoint)
-
-
-class _Sum:
-    __slots__ = ("parts", "dims")
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-        self.dims = frozenset().union(*(q.dims for q in self.parts))
-
-    def eval(self, p, orders):
-        return sum(q.eval(p, orders) for q in self.parts)
-
-
-class _Scaled:
-    __slots__ = ("c", "inner", "dims")
-
-    def __init__(self, c, inner):
-        self.c = c
-        self.inner = inner
-        self.dims = inner.dims
-
-    def eval(self, p, orders):
-        return self.c * self.inner.eval(p, orders)
-
-
-class _Product:
-    """Product of fields over disjoint coordinate sets."""
-
-    __slots__ = ("a", "b", "dims")
-
-    def __init__(self, a, b):
-        if a.dims & b.dims:
-            raise ValueError("product factors must depend on disjoint dims")
-        self.a = a
-        self.b = b
-        self.dims = a.dims | b.dims
-
-    def eval(self, p, orders):
-        if any(o for i, o in enumerate(orders) if o and i not in self.dims):
-            return 0
-        oa = tuple(o if i in self.a.dims else 0 for i, o in enumerate(orders))
-        ob = tuple(o if i in self.b.dims else 0 for i, o in enumerate(orders))
-        va = self.a.eval(p, oa)
-        if va == 0:
-            return va
-        return va * self.b.eval(p, ob)
-
-
-class _Frozen:
-    """inner differentiated ``order`` times along d, then frozen at x_d = loc."""
-
-    __slots__ = ("inner", "d", "order", "loc", "dims")
-
-    def __init__(self, inner, d, order, loc):
-        self.inner = inner
-        self.d = d
-        self.order = order
-        self.loc = loc
-        self.dims = inner.dims - {d}
-
-    def eval(self, p, orders):
-        if orders[self.d]:
-            return 0
-        q = list(p)
-        q[self.d] = self.loc
-        o = list(orders)
-        o[self.d] = self.order
-        return self.inner.eval(tuple(q), tuple(o))
-
-
-def _frozen_functional(expr, functional, d):
-    """L applied along direction d to an expression: a field of the rest."""
-    return _Sum(
-        [_Scaled(t.coeff, _Frozen(expr, d, t.order, t.location)) for t in functional.terms]
-    )
-
-
-# -- the map ------------------------------------------------------------------
+            out *= k - j
+        if k > o:
+            out *= xs[k - o]
+    return out
 
 
 class HomogenizationMap:
-    """Smooth function matching all supplied (functional, data) pairs."""
+    """Smooth function matching all supplied (functional, data) pairs.
 
-    def __init__(self, dim, expr, assignments):
+    Built from (coeff, powers, trace) terms.  ``powers[e]`` is the
+    monomial degree in x_e, or None where the trace varies with x_e.
+    ``trace`` is None (the constant 1) or (data, slots): a BoundaryData and,
+    per tangential coordinate of its face, (e, None) when it follows x_e or
+    (e, (order, location)) when it is differentiated and frozen there.
+    ``terms`` holds them grouped as (trace, [(coeff, powers), ...]), so
+    evaluation looks each trace up once per point.
+    """
+
+    def __init__(self, dim, terms, ctx):
         self.dim = dim
-        self._expr = expr
-        self.assignments = tuple(assignments)  # (direction, functional, data)
+        self.ctx = ctx
+        by_trace = {}
+        for coeff, powers, trace in terms:
+            by_trace.setdefault(trace, []).append((coeff, powers))
+        self.terms = tuple(by_trace.items())
+        self._memo = {}
 
     def value(self, p):
-        return self._expr.eval(tuple(p), (0,) * self.dim)
+        return self._eval((0,) * self.dim, p)
 
     def partial(self, orders, p):
-        return self._expr.eval(tuple(p), tuple(orders))
+        return self._eval(tuple(orders), p)
 
-    def boundary_residual(self, d, functional, data, tpoint=()):
-        """L(M) - data at one tangential point; ~0 by construction."""
-        return apply_functional(functional, d, self, tpoint) - data.value(tpoint)
+    def _eval(self, orders, p):
+        with self.ctx.workprec():
+            xpowers = []
+            for x in p:
+                xs = [1]
+                for _ in range(_MAX_ANSATZ_DEGREE):
+                    xs.append(xs[-1] * x)
+                xpowers.append(xs)
+            total = self.ctx.zero
+            for trace, monomials in self.terms:
+                poly = 0
+                for coeff, powers in monomials:
+                    factor = _monomial_partial(powers, orders, xpowers)
+                    if factor:
+                        poly += coeff * factor
+                if not poly:
+                    continue
+                if trace is not None:
+                    poly *= self._trace(trace, orders, p)
+                total += poly
+            return total
+
+    def _trace(self, trace, orders, p):
+        data, slots = trace
+        torders = tuple(orders[e] if fixed is None else fixed[0] for e, fixed in slots)
+        tpoint = tuple(p[e] if fixed is None else fixed[1] for e, fixed in slots)
+        key = (data, torders, tpoint)
+        val = self._memo.get(key)
+        if val is None:
+            val = self._memo[key] = data.partial_multi(torders, tpoint)
+        return val
 
     @classmethod
     def zero(cls, dim, ctx):
-        return cls(dim, _Const(ctx.zero), ())
+        return cls(dim, (), ctx)
+
+
+def _apply_along(functional, d, terms):
+    """The functional applied along direction d to a sum of terms, as
+    {(powers, trace): coeff}.  Every term reaching a sweep along d has a
+    trace that follows x_d, or is constant in x_d (power 0)."""
+    out = {}
+    for (powers, trace), c in terms.items():
+        for t in functional.terms:
+            if trace is None:
+                if t.order:
+                    continue
+                key = (powers, None)
+            else:
+                data, slots = trace
+                frozen = (t.order, t.location)
+                key = (powers, (data, tuple(
+                    (e, frozen if e == d else fixed) for e, fixed in slots)))
+            out[key] = out.get(key, 0) + t.coeff * c
+    return out
+
+
+def _face_datum(data, d, dim):
+    """A face's data along direction d as {(powers, trace): coeff}."""
+    if isinstance(data, ConstantData):
+        return {((0,) * dim, None): data.c}
+    slots = tuple((e, None) for e in range(dim) if e != d)
+    powers = tuple(0 if e == d else None for e in range(dim))
+    return {(powers, (data, slots)): 1}
 
 
 def _functional_on_monomial(functional, k, ctx):
@@ -244,31 +206,28 @@ def homogenize_nd(pairs_per_dim, ctx):
     BoundaryData over the tangential coordinates.
     """
     dim = len(pairs_per_dim)
-    expr = _Const(ctx.zero)
-    assignments = []
+    terms = {}
     with ctx.workprec():
         for d, pair in enumerate(pairs_per_dim):
             if pair is None:
                 continue
             (l1, data1), (l2, data2) = pair
-            gdims = tuple(e for e in range(dim) if e != d)
-            data1 = as_data(data1, l1, dim - 1)
-            data2 = as_data(data2, l2, dim - 1)
             (k1, k2), w = _ansatz_weights(l1, l2, ctx)
-            resid = [
-                _Sum([_Data(data1, gdims), _Scaled(-ctx.one, _frozen_functional(expr, l1, d))]),
-                _Sum([_Data(data2, gdims), _Scaled(-ctx.one, _frozen_functional(expr, l2, d))]),
-            ]
-            contribution = []
+            # data_s - L_s(M), the mismatch each functional leaves
+            resid = []
+            for l, data in ((l1, data1), (l2, data2)):
+                mismatch = _face_datum(as_data(data, l, dim - 1), d, dim)
+                for key, c in _apply_along(l, d, terms).items():
+                    mismatch[key] = mismatch.get(key, 0) - c
+                resid.append(mismatch)
             for row, k in zip(w, (k1, k2)):
-                coeff_field = _Sum(
-                    [_Scaled(row[0], resid[0]), _Scaled(row[1], resid[1])]
-                )
-                contribution.append(_Product(_Monomial(d, k), coeff_field))
-            expr = _Sum([expr, *contribution])
-            assignments.append((d, l1, data1))
-            assignments.append((d, l2, data2))
-    return HomogenizationMap(dim, expr, assignments)
+                for weight, mismatch in zip(row, resid):
+                    for (powers, trace), c in mismatch.items():
+                        key = (powers[:d] + (k,) + powers[d + 1:], trace)
+                        terms[key] = terms.get(key, 0) + weight * c
+    return HomogenizationMap(
+        dim, [(c, powers, trace) for (powers, trace), c in terms.items() if c], ctx
+    )
 
 
 def homogenize_1d(l1, l2, ctx):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .errors import SingularMatrix
 from .kernels import GaussianKernel
 from .numerics import lu_factor
-from .pseudospectral import Grid, Solution
+from .pseudospectral import Grid, Solution, _all_tables
 
 
 def _inclusive_axes(domain, counts, ctx):
@@ -56,18 +56,7 @@ def kansa_solve(problem, counts, shape, ctx, estimate_conditioning=True):
             tuple(axes),
         )
         kernels = [GaussianKernel(shape, ctx) for _ in range(dim)]
-
-        orders = [set((0,)) for _ in range(dim)]
-        for t in problem.operator.terms:
-            for d, m in enumerate(t.orders):
-                orders[d].add(m)
-        tables = [
-            {
-                m: [[k.mixed_partial(m, 0, xi, xj) for xj in ax] for xi in ax]
-                for m in sorted(os)
-            }
-            for k, ax, os in zip(kernels, axes, orders)
-        ]
+        tables = _all_tables(kernels, grid, problem.operator)
         # per-face functional rows in the normal direction, one value per center
         face_vectors = {}
         for d in range(dim):
@@ -82,36 +71,34 @@ def kansa_solve(problem, counts, shape, ctx, estimate_conditioning=True):
                     for xj in axes[d]
                 ]
 
-        n = grid.size
-        idx = [grid.unravel(i) for i in range(n)]
-        pts = [grid.point(i) for i in range(n)]
+        idx = grid.indices()
         rows = []
         rhs = []
-        for i in range(n):
-            face = _face_of(idx[i], grid.counts)
+        for ii, p in zip(idx, grid.points()):
+            face = _face_of(ii, grid.counts)
             row = []
             if face is None:
-                coeffs = [t.coeff_at(pts[i]) for t in problem.operator.terms]
-                for j in range(n):
+                coeffs = [t.coeff_at(p) for t in problem.operator.terms]
+                for jj in idx:
                     v = 0
                     for t, c in zip(problem.operator.terms, coeffs):
                         prod = c
-                        for tab, m, a_i, a_j in zip(tables, t.orders, idx[i], idx[j]):
+                        for tab, m, a_i, a_j in zip(tables, t.orders, ii, jj):
                             prod = prod * tab[m][a_i][a_j]
                         v += prod
                     row.append(v)
-                rhs.append(ctx.num(problem.rhs(pts[i])))
+                rhs.append(ctx.num(problem.rhs(p)))
             else:
                 d, side = face
                 fvec = face_vectors[(d, side)]
-                for j in range(n):
-                    prod = fvec[idx[j][d]]
+                for jj in idx:
+                    prod = fvec[jj[d]]
                     for e in range(dim):
                         if e != d:
-                            prod = prod * tables[e][0][idx[i][e]][idx[j][e]]
+                            prod = prod * tables[e][0][ii[e]][jj[e]]
                     row.append(prod)
                 data = problem.data_for(d, side)
-                tpoint = tuple(x for e, x in enumerate(pts[i]) if e != d)
+                tpoint = tuple(x for e, x in enumerate(p) if e != d)
                 rhs.append(ctx.num(data.value(tpoint)))
             rows.append(row)
 

@@ -3,8 +3,8 @@
 The Gaussian kernel here uses the convention exp(-c^2 (x-y)^2): the shape
 parameter multiplies the distance, matching the RBF-PS literature.  Any
 object exposing ``eval(x, y)`` and ``mixed_partial(m, n, x, y)`` works as a
-kernel handle downstream; kernels are immutable value objects and all
-operations are reentrant.
+kernel handle downstream; kernels are immutable value objects and, like the
+rest of the package, run in one thread (see ``numerics``).
 """
 
 from __future__ import annotations

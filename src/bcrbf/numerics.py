@@ -13,10 +13,12 @@ D digits it factors at D plus guard digits and carries residuals and the
 refined solution at more digits still, then the caller rounds the result
 back to D.
 
-Matrices are row-major lists of lists of scalars of the active mode.  All
-values are immutable after construction and safe to share across threads;
-factorizations and solves are single-threaded per call.  Elimination order
-is deterministic, so results are bit-reproducible per precision mode.
+Matrices are row-major lists of lists of scalars of the active mode.  The
+package runs in one thread: ``Precision.workprec`` sets mpmath's
+process-wide precision, so no two computations may run in concurrent
+threads of one process.  ``reporting.run_sweep`` with ``jobs > 1`` runs its
+solves in worker processes.  Elimination order is deterministic, so results
+are bit-reproducible per precision mode.
 """
 
 from __future__ import annotations
@@ -208,6 +210,14 @@ def check_finite(a, what="matrix"):
         for v in row:
             if not is_finite(v):
                 raise ValueError(f"non-finite entry in {what}")
+
+
+def dot(ctx, us, vs):
+    """sum(u * v).  In mp mode mpmath.fdot forms the sum exactly and rounds
+    it once."""
+    if ctx.mode == "mp":
+        return mpmath.fdot(us, vs)
+    return sum(u * v for u, v in zip(us, vs))
 
 
 def _minus_dot(ctx, s, us, vs):

@@ -24,12 +24,16 @@ Boundary nodes are excluded by construction: with boundary-condition-
 satisfying kernels the basis functions vanish under every boundary
 functional, so boundary collocation rows would be identically zero.
 
-Assembly rows are independent (safe to parallelize in principle); the
-solves are sequential; a Solution is immutable and shareable.
+Everything runs in one thread: ``Precision.workprec`` sets mpmath's
+process-wide precision, so solves and evaluations must not run in
+concurrent threads of one process.  ``reporting.run_sweep`` with
+``jobs > 1`` runs its solves in worker processes instead.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 from .constrained import impose_sequence
@@ -37,7 +41,7 @@ from .errors import NodeCollision, SingularMatrix
 from .fields import apply_functional, as_data
 from .homogenize import homogenize_nd
 from .kernels import GaussianKernel
-from .numerics import REFINE_GUARD, lu_factor, refine, transpose
+from .numerics import REFINE_GUARD, dot, lu_factor, refine
 
 _COLLISION_RTOL = 1e-9
 
@@ -84,10 +88,6 @@ def laplacian(dim, scale=1):
         orders[d] = 2
         terms.append(OperatorTerm(tuple(orders), scale))
     return OperatorSpec(tuple(terms))
-
-
-def identity_operator(dim):
-    return OperatorSpec((OperatorTerm((0,) * dim, 1),))
 
 
 @dataclass(frozen=True)
@@ -164,24 +164,16 @@ class Grid:
 
     @property
     def size(self):
-        n = 1
-        for c in self.counts:
-            n *= c
-        return n
+        return math.prod(self.counts)
 
-    def unravel(self, flat):
-        """Lexicographic flat index -> per-dimension indices."""
-        idx = []
-        for c in reversed(self.counts):
-            idx.append(flat % c)
-            flat //= c
-        return tuple(reversed(idx))
-
-    def point(self, flat):
-        return tuple(ax[i] for ax, i in zip(self.axes, self.unravel(flat)))
+    def indices(self):
+        """Per-axis node indices in flat order: lexicographic, last axis
+        fastest, the order of every vector and matrix over the grid."""
+        return list(itertools.product(*map(range, self.counts)))
 
     def points(self):
-        return [self.point(i) for i in range(self.size)]
+        """Node coordinates in flat order."""
+        return list(itertools.product(*self.axes))
 
 
 def build_grid(domain, counts, scheme="uniform-interior", ctx=None, avoid=()):
@@ -270,71 +262,65 @@ def build_evaluation_matrix(grid, kernels, tables=None):
     """A[i][j] = prod_d kernel_d(node_i_d, node_j_d); symmetric by construction."""
     if tables is None:
         tables = _all_tables(kernels, grid, None)
-    n = grid.size
     zero_orders = (0,) * grid.dim
-    idx = [grid.unravel(i) for i in range(n)]
-    return [
-        [_product_from_tables(tables, zero_orders, idx[i], idx[j]) for j in range(n)]
-        for i in range(n)
-    ]
+    idx = grid.indices()
+    return [[_product_from_tables(tables, zero_orders, ii, jj) for jj in idx] for ii in idx]
 
 
 def build_operator_matrix(grid, kernels, operator, tables=None):
     """A_L[i][j] = sum_terms coeff(node_i) * prod_d d^{m_d} kernel_d(...)."""
     if tables is None:
         tables = _all_tables(kernels, grid, operator)
-    n = grid.size
-    idx = [grid.unravel(i) for i in range(n)]
-    pts = [grid.point(i) for i in range(n)]
+    idx = grid.indices()
     rows = []
-    for i in range(n):
-        coeffs = [t.coeff_at(pts[i]) for t in operator.terms]
+    for ii, p in zip(idx, grid.points()):
+        coeffs = [t.coeff_at(p) for t in operator.terms]
         row = []
-        for j in range(n):
+        for jj in idx:
             v = 0
             for t, c in zip(operator.terms, coeffs):
-                v += c * _product_from_tables(tables, t.orders, idx[i], idx[j])
+                v += c * _product_from_tables(tables, t.orders, ii, jj)
             row.append(v)
         rows.append(row)
     return rows
 
 
-def operational_matrix(a, a_l, ctx):
-    """L with L A = A_L, computed by solving the transposed matrix equation
-    (A is never inverted explicitly)."""
-    try:
-        fact = lu_factor(ctx, transpose(a))
-    except SingularMatrix as exc:
-        raise SingularMatrix(
-            f"evaluation matrix numerically singular at pivot "
-            f"{exc.pivot_index}; remedies: larger shape parameter, fewer "
-            f"nodes, or higher precision",
-            pivot_index=exc.pivot_index,
-        ) from None
-    return transpose(fact.solve(transpose(a_l)))
+def operational_matrix(fact_a, a_l):
+    """L with L A = A_L, from the LU factors of A: row i of L solves
+    A^T l_i = (row i of A_L).  A is never inverted explicitly."""
+    return [fact_a.solve_transpose_vec(row) for row in a_l]
 
 
 class _OperationalFactors:
-    """The ps route's factorizations: L from the matrix equation L A = A_L,
-    then LU factors of L and of A.  Since A_L = L A, ``solve_vec`` applies
-    A^-1 L^-1, an approximate inverse of A_L."""
+    """The ps route's factorizations: LU factors of A, and of L formed from
+    them.  Since A_L = L A, ``solve_vec`` applies A^-1 L^-1, an
+    approximate inverse of A_L."""
 
     def __init__(self, ctx, a, a_l):
-        self.fact_lmat = lu_factor(ctx, operational_matrix(a, a_l, ctx))
-        self.fact_a = lu_factor(ctx, a)
+        try:
+            self.fact_a = lu_factor(ctx, a)
+        except SingularMatrix as exc:
+            raise SingularMatrix(
+                f"evaluation matrix numerically singular at pivot "
+                f"{exc.pivot_index}; remedies: larger shape parameter, fewer "
+                f"nodes, or higher precision",
+                pivot_index=exc.pivot_index,
+            ) from None
+        self.fact_lmat = lu_factor(ctx, operational_matrix(self.fact_a, a_l))
 
     def solve_vec(self, r):
         return self.fact_a.solve_vec(self.fact_lmat.solve_vec(r))
 
 
-def _factor_guard(ctx, tables):
-    """Guard digits for the first factorization of an mp solve.
+def _cond_a(ctx, tables):
+    """cond_1(A) from n_d x n_d factorizations, or None when an axis table
+    is singular.
 
-    A is the Kronecker product of the per-axis tables T0_d, so cond_1(A)
-    is the product of their condition numbers, which n_d x n_d
-    factorizations give before the N x N one.  In the benchmark examples
-    checked (ex1, ex4-ex7) cond_1(A_L) stays below cond_1(A); when that
-    product may exceed 10^(D - 30), D-digit factors of the system would
+    A is the Kronecker product of the per-axis tables T0_d, and cond_1 of
+    a Kronecker product is the product of the factors' cond_1.  In the
+    benchmark examples checked (ex1, ex4-ex7) cond_1(A_L) stays below
+    cond_1(A), so an mp solve raises its first factorization's precision
+    when this may exceed 10^(D - 30): D-digit factors of the system would
     refine slowly or not at all.  A wrong guess costs ``refine`` a second
     factorization, not accuracy.
     """
@@ -343,8 +329,8 @@ def _factor_guard(ctx, tables):
         try:
             cond *= lu_factor(ctx, axis[0]).cond1_estimate()
         except SingularMatrix:
-            return REFINE_GUARD
-    return REFINE_GUARD if cond >= ctx.num(10) ** (ctx.digits - REFINE_GUARD) else 0
+            return None
+    return cond
 
 
 # -- solution -------------------------------------------------------------------
@@ -370,63 +356,47 @@ class Solution:
     def dim(self):
         return self.grid.dim
 
-    @property
-    def _center_indices(self):
-        cached = getattr(self, "_centers", None)
-        if cached is None:
-            cached = [self.grid.unravel(j) for j in range(self.grid.size)]
-            self._centers = cached
-        return cached
-
     def partial(self, orders, p):
-        vecs = [
-            [k.mixed_partial(m, 0, x, node) for node in ax]
-            for k, m, x, ax in zip(self.kernels, orders, p, self.grid.axes)
-        ]
-        total = self.ctx.zero
-        for lam_j, jj in zip(self.lam, self._center_indices):
-            prod = lam_j
-            for v, i in zip(vecs, jj):
-                prod = prod * v[i]
-            total += prod
-        if self.hom is not None:
-            total += self.hom.partial(tuple(orders), p)
-        return total
+        return self._expand(tuple(orders), [(x,) for x in p])[0]
 
     def evaluate(self, p):
         return self.partial((0,) * self.dim, p)
 
     def evaluate_axes(self, axes):
         """Values on a tensor grid of points, flattened lexicographically."""
-        with self.ctx.workprec():
-            mats = [
-                [[k.mixed_partial(0, 0, x, node) for node in ax] for x in pts]
-                for k, pts, ax in zip(self.kernels, axes, self.grid.axes)
-            ]
-            counts = [len(a) for a in axes]
-            total = 1
-            for c in counts:
-                total *= c
-            centers = self._center_indices
-            out = []
-            for flat in range(total):
-                rem, ii = flat, []
-                for c in reversed(counts):
-                    ii.append(rem % c)
-                    rem //= c
-                ii.reverse()
-                rows = [m[i] for m, i in zip(mats, ii)]
-                acc = self.ctx.zero
-                for lam_j, jj in zip(self.lam, centers):
-                    prod = lam_j
-                    for r, i in zip(rows, jj):
-                        prod = prod * r[i]
-                    acc += prod
-                if self.hom is not None:
-                    p = tuple(a[i] for a, i in zip(axes, ii))
-                    acc += self.hom.value(p)
-                out.append(acc)
-            return out
+        return self._expand((0,) * self.dim, axes)
+
+    def _expand(self, orders, axes):
+        """d^orders of the solution at every point of the tensor grid
+        ``axes``, in flat order.
+
+        lam, an n_0 x ... x n_{d-1} array in flat order, is contracted one
+        axis at a time with that axis's kernel matrix, m_d x n_d (mode
+        products; Van Loan, J. Comput. Appl. Math. 123, 2000); M is added
+        pointwise.  A single point is a grid of 1-point axes.
+        """
+        ctx = self.ctx
+        with ctx.workprec():
+            vals = self.lam
+            outer, inner = 1, len(vals)
+            for k, m, pts, nodes in zip(self.kernels, orders, axes, self.grid.axes):
+                n = len(nodes)
+                inner //= n
+                mat = [[k.mixed_partial(m, 0, x, node) for node in nodes] for x in pts]
+                out = []
+                for o in range(outer):
+                    block = vals[o * n * inner:(o + 1) * n * inner]
+                    cols = [block[r::inner] for r in range(inner)]
+                    for row in mat:
+                        out.extend(dot(ctx, row, col) for col in cols)
+                vals = out
+                outer *= len(pts)
+            if self.hom is not None:
+                vals = [
+                    v + self.hom.partial(orders, p)
+                    for v, p in zip(vals, itertools.product(*axes))
+                ]
+            return vals
 
     def boundary_residual(self, d, side, problem, tpoint=()):
         bc = problem.bcs[d][side]
@@ -497,13 +467,16 @@ def solve(
         tables = _all_tables(kernels, grid, problem.operator)
         a = build_evaluation_matrix(grid, kernels, tables)
         a_l = build_operator_matrix(grid, kernels, problem.operator, tables)
-        pts = [grid.point(i) for i in range(grid.size)]
+        pts = grid.points()
         f = [
             ctx.num(problem.rhs(p)) - problem.operator.apply(hom, p)
             for p in pts
         ]
 
         diagnostics = {"mode": mode, "shape": shape, "counts": tuple(counts)}
+        cond_a = None
+        if ctx.mode == "mp" or estimate_conditioning:
+            cond_a = _cond_a(ctx, tables)
         mvals = [hom.value(p) for p in pts]
         if mode == "direct":
             def factor(fctx):
@@ -513,8 +486,9 @@ def solve(
                 return _OperationalFactors(fctx, a, a_l)
 
         if ctx.mode == "mp":
+            risky = cond_a is None or cond_a >= ctx.num(10) ** (ctx.digits - REFINE_GUARD)
             run = refine(
-                ctx, a_l, f, factor, guard=_factor_guard(ctx, tables),
+                ctx, a_l, f, factor, guard=REFINE_GUARD if risky else 0,
                 image=a, shift=mvals,
             )
             factors = run.solver
@@ -539,17 +513,14 @@ def solve(
             lam = factors.fact_a.solve_vec(v_nodal)
             nodal = [v + m for v, m in zip(v_nodal, mvals)]
 
-        if estimate_conditioning and mode == "direct":
-            diagnostics["cond_AL"] = factors.cond1_estimate()
-            try:
-                diagnostics["cond_A"] = lu_factor(ctx, a).cond1_estimate()
-            except SingularMatrix:
-                diagnostics["cond_A"] = None
-        elif estimate_conditioning:
-            diagnostics["cond_A"] = factors.fact_a.cond1_estimate()
-            try:
-                diagnostics["cond_AL"] = lu_factor(ctx, a_l).cond1_estimate()
-            except SingularMatrix:
-                diagnostics["cond_AL"] = None
+        if estimate_conditioning:
+            diagnostics["cond_A"] = cond_a
+            if mode == "direct":
+                diagnostics["cond_AL"] = factors.cond1_estimate()
+            else:
+                try:
+                    diagnostics["cond_AL"] = lu_factor(ctx, a_l).cond1_estimate()
+                except SingularMatrix:
+                    diagnostics["cond_AL"] = None
 
         return Solution(ctx, grid, kernels, lam, hom, nodal, diagnostics)

@@ -10,6 +10,7 @@ worker processes; rows come back in input order regardless of job count.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -116,18 +117,11 @@ def error_metrics(solution, exact, ctx):
     axes = evaluation_axes(solution.grid.domain, ctx)
     with ctx.workprec():
         approx = solution.evaluate_axes(axes)
-        counts = [len(a) for a in axes]
         max_err = ctx.zero
         max_exact = ctx.zero
-        idx = [0] * len(counts)
-        for flat in range(len(approx)):
-            rem = flat
-            for d in range(len(counts) - 1, -1, -1):
-                idx[d] = rem % counts[d]
-                rem //= counts[d]
-            p = tuple(axes[d][idx[d]] for d in range(len(counts)))
+        for value, p in zip(approx, itertools.product(*axes)):
             ue = exact.value(p)
-            max_err = max(max_err, abs(approx[flat] - ue))
+            max_err = max(max_err, abs(value - ue))
             max_exact = max(max_exact, abs(ue))
         rel = max_err / max_exact if max_exact > 0 else max_err
     return max_err, rel

@@ -1,3 +1,4 @@
+import math
 import random
 
 import mpmath
@@ -18,7 +19,7 @@ from bcrbf.homogenize import (
     homogenize_2d_dirichlet,
     homogenize_nd,
 )
-from bcrbf.fields import Fn1, fn_constant
+from bcrbf.fields import FieldTraceData, Fn1, LambdaField, fn_constant
 from bcrbf.numerics import FLOAT64, Precision
 
 from oracles import fd_mixed_partial_f64
@@ -221,6 +222,39 @@ def test_map_smoothness_against_finite_differences():
             got = m.partial(orders, (x, y))
             ref = fd_mixed_partial_f64(as_bivariate, orders[0], orders[1], x, y)
             assert got == pytest.approx(ref, rel=2e-4, abs=1e-5)
+
+
+def test_3d_neumann_robin_faces_of_nonseparable_field():
+    """Derivative traces frozen through three sweeps: every face functional
+    of the map equals its data, u = 1 / (2 + x + 2y + 3z) traced."""
+    ctx = MP50
+    with ctx.workprec():
+        weights = (1, 2, 3)
+
+        def handler(orders, p):
+            n = sum(orders)
+            s = 2 + sum(w * x for w, x in zip(weights, p))
+            scale = math.prod(w**o for w, o in zip(weights, orders))
+            return (-1) ** n * math.factorial(n) * scale / s ** (n + 1)
+
+        u = LambdaField(3, handler)
+        faces = (
+            (make_neumann(0, 0, ctx), make_robin(1, "0.5", 1, 0, ctx)),
+            (make_robin(1, "-0.25", 0, 0, ctx), make_neumann(1, 0, ctx)),
+            (make_robin(2, 1, 0, 0, ctx), make_robin(1, 1, 1, 0, ctx)),
+        )
+        pairs = [
+            tuple((l, FieldTraceData(u, d, l)) for l in pair)
+            for d, pair in enumerate(faces)
+        ]
+        m = homogenize_nd(pairs, ctx)
+        rng = random.Random(12)
+        for d, pair in enumerate(pairs):
+            for functional, data in pair:
+                for _ in range(4):
+                    t = (ctx.num(rng.random()), ctx.num(rng.random()))
+                    r = apply_functional(functional, d, m, t) - data.value(t)
+                    assert abs(r) < mpmath.mpf(10) ** -40
 
 
 def test_zero_map():

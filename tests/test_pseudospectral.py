@@ -1,15 +1,18 @@
+import itertools
 import math
 import random
 
 import mpmath
 import pytest
 
+from bcrbf.benchmarks import get_example
 from bcrbf.constrained import impose, impose_sequence
 from bcrbf.errors import NodeCollision, SingularMatrix
 from bcrbf.fields import apply_functional
 from bcrbf.functionals import make_dirichlet, make_multipoint, make_neumann, make_robin
+from bcrbf.kansa import kansa_solve
 from bcrbf.kernels import GaussianKernel
-from bcrbf.numerics import FLOAT64, Precision, identity, norm_inf
+from bcrbf.numerics import FLOAT64, Precision, identity, lu_factor, norm_inf
 from bcrbf.pseudospectral import (
     BoundaryCondition,
     OperatorSpec,
@@ -174,9 +177,9 @@ def test_operator_matrix_variable_coefficient_rows():
 
 def test_operational_matrix_identity_and_scalar():
     al = [[3.0, 1.0], [0.0, 2.0]]
-    lmat = operational_matrix(identity(FLOAT64, 2), al, FLOAT64)
+    lmat = operational_matrix(lu_factor(FLOAT64, identity(FLOAT64, 2)), al)
     assert lmat[0] == pytest.approx(al[0]) and lmat[1] == pytest.approx(al[1])
-    assert operational_matrix([[4.0]], [[2.0]], FLOAT64)[0][0] == pytest.approx(0.5)
+    assert operational_matrix(lu_factor(FLOAT64, [[4.0]]), [[2.0]])[0][0] == pytest.approx(0.5)
 
 
 def test_operational_matrix_residual_mp():
@@ -193,7 +196,7 @@ def test_operational_matrix_residual_mp():
         g = build_grid(((ctx.zero, ctx.one),), (16,), "uniform-interior", ctx)
         a = build_evaluation_matrix(g, [ck])
         al = build_operator_matrix(g, [ck], op)
-        lmat = operational_matrix(a, al, ctx)
+        lmat = operational_matrix(lu_factor(ctx, a), al)
         from bcrbf.numerics import mat_mul
 
         resid = mat_mul(lmat, a)
@@ -228,9 +231,8 @@ def test_solution_reproduces_nodal_values():
     ctx = MP40
     sol = solve(_trivial_problem(ctx), (5,), 1.0, ctx)
     with ctx.workprec():
-        for i in range(sol.grid.size):
-            p = sol.grid.point(i)
-            assert abs(sol.evaluate(p) - sol.nodal[i]) < mpmath.mpf(10) ** (12 - 40)
+        for p, nodal in zip(sol.grid.points(), sol.nodal):
+            assert abs(sol.evaluate(p) - nodal) < mpmath.mpf(10) ** (12 - 40)
 
 
 def test_boundary_evaluation_equals_homogenization_map():
@@ -300,6 +302,51 @@ def test_span_reproduction():
             x = ctx.num(rng.random())
             expect = ck.eval(x, star) + hom.value((x,))
             assert abs(sol2.evaluate((x,)) - expect) < mpmath.mpf(10) ** -35
+
+
+@pytest.mark.parametrize(
+    "ident,counts,method",
+    [
+        ("ex1", (8,), "constrained"),
+        ("ex4", (4, 4), "constrained"),
+        ("ex7", (3, 3, 3), "constrained"),
+        ("ex4", (4, 4), "kansa"),
+    ],
+)
+def test_evaluate_axes_equals_pointwise_evaluate(ident, counts, method):
+    """A tensor grid of points is contracted exactly as each of its points
+    alone, so the values are identical, homogenization map included."""
+    ctx = MP40
+    record = get_example(ident)
+    problem = record.make(ctx, 0.5) if record.has_eps else record.make(ctx)
+    if method == "constrained":
+        sol = solve(problem, counts, 1.0, ctx)
+    else:
+        sol = kansa_solve(problem, counts, 1.0, ctx)
+    rng = random.Random(31)
+    with ctx.workprec():
+        axes = [
+            sorted([a, b] + [a + (b - a) * ctx.num(rng.random()) for _ in range(3)])
+            for a, b in problem.domain
+        ]
+        got = sol.evaluate_axes(axes)
+        assert got == [sol.evaluate(p) for p in itertools.product(*axes)]
+
+
+def test_solution_partials_match_finite_differences():
+    ctx = FLOAT64
+    sol = solve(get_example("ex4").make(ctx), (5, 5), 2.0, ctx)
+
+    def as_bivariate(x, y):
+        return sol.evaluate((x, y))
+
+    rng = random.Random(19)
+    for _ in range(6):
+        x, y = rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)
+        for orders in ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1)):
+            got = sol.partial(orders, (x, y))
+            ref = fd_mixed_partial_f64(as_bivariate, orders[0], orders[1], x, y)
+            assert got == pytest.approx(ref, rel=2e-4, abs=1e-5)
 
 
 def test_mode_equivalence_well_conditioned():
