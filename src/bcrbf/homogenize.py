@@ -20,8 +20,17 @@ the monomials cover every direction g does not vary in.  A functional
 applied along direction d maps each term to one term per point evaluation
 of the functional, by differentiating and freezing g along d.  Terms with
 equal monomials and equal frozen datum are merged, so the map holds few
-terms over few distinct traces, and evaluation memoizes each datum value
-per derivative orders and tangential point.
+terms over few distinct traces.
+
+M is evaluated on tensor grids, a single point being a grid of 1-point
+axes.  Terms are grouped by the directions their trace follows; per group
+each trace is evaluated once on the subgrid over those directions
+(memoized per derivative orders and tangential point), the coefficients
+are summed per monomial degree, and the result is contracted one swept
+direction at a time with the monomials' derivatives on the grid (mode
+products, as for the kernel expansion).  Sums are exact in mp
+(``numerics.dot``), and every grid value equals the pointwise one bit for
+bit.
 
 The polynomial ansatz starts at degree 1 and escalates to 2, then 3, when
 the functional pair is singular on the lower-degree space (e.g. a pair of
@@ -37,27 +46,15 @@ like the rest of the package it is meant for one thread (see
 
 from __future__ import annotations
 
+import itertools
+import math
+
 from .errors import NoHomogenizer
 from .fields import ConstantData, as_data
 from .functionals import make_dirichlet
+from .numerics import dot, mode_products
 
 _MAX_ANSATZ_DEGREE = 3
-
-
-def _monomial_partial(powers, orders, xpowers):
-    """d^orders of prod_e x_e**k_e over the directions with a power;
-    ``xpowers[e][j]`` is x_e**j."""
-    out = 1
-    for k, o, xs in zip(powers, orders, xpowers):
-        if k is None:
-            continue
-        if o > k:
-            return 0
-        for j in range(o):
-            out *= k - j
-        if k > o:
-            out *= xs[k - o]
-    return out
 
 
 class HomogenizationMap:
@@ -68,8 +65,10 @@ class HomogenizationMap:
     ``trace`` is None (the constant 1) or (data, slots): a BoundaryData and,
     per tangential coordinate of its face, (e, None) when it follows x_e or
     (e, (order, location)) when it is differentiated and frozen there.
-    ``terms`` holds them grouped as (trace, [(coeff, powers), ...]), so
-    evaluation looks each trace up once per point.
+    ``terms`` holds them grouped as (trace, [(coeff, powers), ...]), and
+    the traces are grouped once more by the directions they follow, the
+    unit of tensor-grid evaluation (``partial_axes``).  ``value`` and
+    ``partial`` evaluate a grid of 1-point axes.
     """
 
     def __init__(self, dim, terms, ctx):
@@ -79,45 +78,87 @@ class HomogenizationMap:
         for coeff, powers, trace in terms:
             by_trace.setdefault(trace, []).append((coeff, powers))
         self.terms = tuple(by_trace.items())
+        groups = {}
+        for trace, monomials in self.terms:
+            follows = tuple(e for e, k in enumerate(monomials[0][1]) if k is None)
+            groups.setdefault(follows, []).append((trace, monomials))
+        self._groups = tuple(groups.items())
         self._memo = {}
 
     def value(self, p):
-        return self._eval((0,) * self.dim, p)
+        return self.partial_axes((0,) * self.dim, [(x,) for x in p])[0]
 
     def partial(self, orders, p):
-        return self._eval(tuple(orders), p)
+        return self.partial_axes(orders, [(x,) for x in p])[0]
 
-    def _eval(self, orders, p):
-        with self.ctx.workprec():
-            xpowers = []
-            for x in p:
-                xs = [1]
-                for _ in range(_MAX_ANSATZ_DEGREE):
-                    xs.append(xs[-1] * x)
-                xpowers.append(xs)
-            total = self.ctx.zero
-            for trace, monomials in self.terms:
-                poly = 0
-                for coeff, powers in monomials:
-                    factor = _monomial_partial(powers, orders, xpowers)
-                    if factor:
-                        poly += coeff * factor
-                if not poly:
+    def partial_axes(self, orders, axes):
+        """d^orders M at every point of the tensor grid ``axes``, in flat
+        order (last axis fastest).
+
+        Per group of traces following the directions T, the coefficients
+        times the traces' values are summed exactly into a tensor C whose
+        axis e runs over the grid's x_e for e in T and over the monomial
+        degrees k >= orders[e] otherwise.  C is then contracted along each
+        swept axis with the matrix d^o x^k at the grid's x_e (o =
+        orders[e]), the identity on T.  A trace whose monomials all vanish
+        under d^orders is not evaluated.
+        """
+        ctx = self.ctx
+        orders = tuple(orders)
+        total = [ctx.zero] * math.prod(map(len, axes))
+        with ctx.workprec():
+            for follows, traces in self._groups:
+                swept = [e for e in range(self.dim) if e not in follows]
+                rows = []
+                for trace, monomials in traces:
+                    # keyed by the degrees left after differentiating
+                    coeffs = {
+                        tuple(powers[e] - orders[e] for e in swept): coeff
+                        for coeff, powers in monomials
+                        if all(powers[e] >= orders[e] for e in swept)
+                    }
+                    if coeffs:
+                        rows.append((coeffs, self._trace_values(trace, orders, axes)))
+                if not rows:
                     continue
-                if trace is not None:
-                    poly *= self._trace(trace, orders, p)
-                total += poly
-            return total
+                shape = [len(ax) for ax in axes]
+                for i, e in enumerate(swept):
+                    shape[e] = 1 + max(key[i] for coeffs, _ in rows for key in coeffs)
+                c = []
+                for idx in itertools.product(*map(range, shape)):
+                    key = tuple(idx[e] for e in swept)
+                    t = 0
+                    for e in follows:
+                        t = t * shape[e] + idx[e]
+                    pairs = [(cs[key], g[t]) for cs, g in rows if key in cs]
+                    c.append(dot(ctx, *zip(*pairs)) if pairs else ctx.zero)
+                mats = [None] * self.dim
+                for e in swept:
+                    o = orders[e]
+                    mats[e] = [
+                        [math.perm(o + k, o) * x**k for k in range(shape[e])]
+                        for x in axes[e]
+                    ]
+                vals = mode_products(ctx, c, shape, mats)
+                total = [a + b for a, b in zip(total, vals)]
+        return total
 
-    def _trace(self, trace, orders, p):
+    def _trace_values(self, trace, orders, axes):
+        """The trace's factor at every point of the subgrid over the
+        directions it follows, in flat order, memoized per point."""
+        if trace is None:
+            return [self.ctx.one]
         data, slots = trace
         torders = tuple(orders[e] if fixed is None else fixed[0] for e, fixed in slots)
-        tpoint = tuple(p[e] if fixed is None else fixed[1] for e, fixed in slots)
-        key = (data, torders, tpoint)
-        val = self._memo.get(key)
-        if val is None:
-            val = self._memo[key] = data.partial_multi(torders, tpoint)
-        return val
+        coords = [axes[e] if fixed is None else (fixed[1],) for e, fixed in slots]
+        out = []
+        for tpoint in itertools.product(*coords):
+            key = (data, torders, tpoint)
+            val = self._memo.get(key)
+            if val is None:
+                val = self._memo[key] = data.partial_multi(torders, tpoint)
+            out.append(val)
+        return out
 
     @classmethod
     def zero(cls, dim, ctx):

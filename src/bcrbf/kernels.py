@@ -50,11 +50,13 @@ class GaussianKernel:
         self._expcache = {}
 
     def _gauss(self, delta):
-        """exp(-(c*delta)^2), memoized per offset (benign under the GIL).
+        """exp(-(c*delta)^2), memoized per offset.
 
-        Cached values carry the precision active at first evaluation, so a
-        kernel must not be shared across different working precisions; the
-        solver pipeline always evaluates inside the kernel's own context.
+        The cache is a plain dict, so a kernel is used from one thread, as
+        the whole package is (see ``numerics``).  A cached exp keeps the
+        precision active at its first call, so a kernel must not be shared
+        across different working precisions; the solver pipeline always
+        evaluates inside the kernel's own context.
         """
         e = self._expcache.get(delta)
         if e is None:

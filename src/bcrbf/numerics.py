@@ -220,6 +220,34 @@ def dot(ctx, us, vs):
     return sum(u * v for u, v in zip(us, vs))
 
 
+def mode_products(ctx, vals, shape, mats):
+    """The n_0 x ... x n_{d-1} array ``vals`` (flat, last axis fastest)
+    multiplied along each axis e by ``mats[e]``, an m_e x n_e matrix, or
+    left as it is where ``mats[e]`` is None (mode products; Van Loan,
+    J. Comput. Appl. Math. 123, 2000).  Returns the m_0 x ... x m_{d-1}
+    array in flat order.
+
+    Each output entry is formed by one ``dot`` per contracted axis from its
+    own rows of the matrices only, so contracting with fewer rows, down to
+    1-row matrices for a single point, gives the same bits.
+    """
+    outer, inner = 1, len(vals)
+    for n, mat in zip(shape, mats):
+        inner //= n
+        if mat is None:
+            outer *= n
+            continue
+        out = []
+        for o in range(outer):
+            block = vals[o * n * inner:(o + 1) * n * inner]
+            cols = [block[r::inner] for r in range(inner)]
+            for row in mat:
+                out.extend(dot(ctx, row, col) for col in cols)
+        vals = out
+        outer *= len(mat)
+    return vals
+
+
 def _minus_dot(ctx, s, us, vs):
     """s - sum(u * v).  In mp mode mpmath.fdot forms the sum exactly and
     rounds it once; float64 subtracts term by term in order, as always."""

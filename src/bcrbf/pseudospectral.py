@@ -41,7 +41,7 @@ from .errors import NodeCollision, SingularMatrix
 from .fields import apply_functional, as_data
 from .homogenize import homogenize_nd
 from .kernels import GaussianKernel
-from .numerics import REFINE_GUARD, dot, lu_factor, refine
+from .numerics import REFINE_GUARD, lu_factor, mode_products, refine
 
 _COLLISION_RTOL = 1e-9
 
@@ -371,31 +371,19 @@ class Solution:
         ``axes``, in flat order.
 
         lam, an n_0 x ... x n_{d-1} array in flat order, is contracted one
-        axis at a time with that axis's kernel matrix, m_d x n_d (mode
-        products; Van Loan, J. Comput. Appl. Math. 123, 2000); M is added
-        pointwise.  A single point is a grid of 1-point axes.
+        axis at a time with that axis's kernel matrix, m_d x n_d
+        (``numerics.mode_products``), and M's values on the same grid are
+        added.  A single point is a grid of 1-point axes.
         """
         ctx = self.ctx
         with ctx.workprec():
-            vals = self.lam
-            outer, inner = 1, len(vals)
-            for k, m, pts, nodes in zip(self.kernels, orders, axes, self.grid.axes):
-                n = len(nodes)
-                inner //= n
-                mat = [[k.mixed_partial(m, 0, x, node) for node in nodes] for x in pts]
-                out = []
-                for o in range(outer):
-                    block = vals[o * n * inner:(o + 1) * n * inner]
-                    cols = [block[r::inner] for r in range(inner)]
-                    for row in mat:
-                        out.extend(dot(ctx, row, col) for col in cols)
-                vals = out
-                outer *= len(pts)
+            mats = [
+                [[k.mixed_partial(m, 0, x, node) for node in nodes] for x in pts]
+                for k, m, pts, nodes in zip(self.kernels, orders, axes, self.grid.axes)
+            ]
+            vals = mode_products(ctx, self.lam, self.grid.counts, mats)
             if self.hom is not None:
-                vals = [
-                    v + self.hom.partial(orders, p)
-                    for v, p in zip(vals, itertools.product(*axes))
-                ]
+                vals = [v + m for v, m in zip(vals, self.hom.partial_axes(orders, axes))]
             return vals
 
     def boundary_residual(self, d, side, problem, tpoint=()):
@@ -467,17 +455,19 @@ def solve(
         tables = _all_tables(kernels, grid, problem.operator)
         a = build_evaluation_matrix(grid, kernels, tables)
         a_l = build_operator_matrix(grid, kernels, problem.operator, tables)
-        pts = grid.points()
+        terms = problem.operator.terms
+        lms = [hom.partial_axes(t.orders, grid.axes) for t in terms]
         f = [
-            ctx.num(problem.rhs(p)) - problem.operator.apply(hom, p)
-            for p in pts
+            ctx.num(problem.rhs(p))
+            - sum(t.coeff_at(p) * lm[i] for t, lm in zip(terms, lms))
+            for i, p in enumerate(grid.points())
         ]
 
         diagnostics = {"mode": mode, "shape": shape, "counts": tuple(counts)}
         cond_a = None
         if ctx.mode == "mp" or estimate_conditioning:
             cond_a = _cond_a(ctx, tables)
-        mvals = [hom.value(p) for p in pts]
+        mvals = hom.partial_axes((0,) * dim, grid.axes)
         if mode == "direct":
             def factor(fctx):
                 return lu_factor(fctx, a_l)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -224,29 +225,35 @@ def test_map_smoothness_against_finite_differences():
             assert got == pytest.approx(ref, rel=2e-4, abs=1e-5)
 
 
+def _nonseparable_pairs(ctx, x_faces=None):
+    """Neumann and Robin faces of u = 1 / (2 + x + 2y + 3z), traced;
+    ``x_faces`` replaces the functionals in direction x."""
+    weights = (1, 2, 3)
+
+    def handler(orders, p):
+        n = sum(orders)
+        s = 2 + sum(w * x for w, x in zip(weights, p))
+        scale = math.prod(w**o for w, o in zip(weights, orders))
+        return (-1) ** n * math.factorial(n) * scale / s ** (n + 1)
+
+    u = LambdaField(3, handler)
+    faces = (
+        x_faces or (make_neumann(0, 0, ctx), make_robin(1, "0.5", 1, 0, ctx)),
+        (make_robin(1, "-0.25", 0, 0, ctx), make_neumann(1, 0, ctx)),
+        (make_robin(2, 1, 0, 0, ctx), make_robin(1, 1, 1, 0, ctx)),
+    )
+    return [
+        tuple((l, FieldTraceData(u, d, l)) for l in pair)
+        for d, pair in enumerate(faces)
+    ]
+
+
 def test_3d_neumann_robin_faces_of_nonseparable_field():
     """Derivative traces frozen through three sweeps: every face functional
     of the map equals its data, u = 1 / (2 + x + 2y + 3z) traced."""
     ctx = MP50
     with ctx.workprec():
-        weights = (1, 2, 3)
-
-        def handler(orders, p):
-            n = sum(orders)
-            s = 2 + sum(w * x for w, x in zip(weights, p))
-            scale = math.prod(w**o for w, o in zip(weights, orders))
-            return (-1) ** n * math.factorial(n) * scale / s ** (n + 1)
-
-        u = LambdaField(3, handler)
-        faces = (
-            (make_neumann(0, 0, ctx), make_robin(1, "0.5", 1, 0, ctx)),
-            (make_robin(1, "-0.25", 0, 0, ctx), make_neumann(1, 0, ctx)),
-            (make_robin(2, 1, 0, 0, ctx), make_robin(1, 1, 1, 0, ctx)),
-        )
-        pairs = [
-            tuple((l, FieldTraceData(u, d, l)) for l in pair)
-            for d, pair in enumerate(faces)
-        ]
+        pairs = _nonseparable_pairs(ctx)
         m = homogenize_nd(pairs, ctx)
         rng = random.Random(12)
         for d, pair in enumerate(pairs):
@@ -257,7 +264,91 @@ def test_3d_neumann_robin_faces_of_nonseparable_field():
                     assert abs(r) < mpmath.mpf(10) ** -40
 
 
+def _example_map(ident, ctx, eps=None):
+    problem = get_example(ident).make(ctx, eps)
+    pairs = [
+        (
+            (problem.bcs[d][0].functional, problem.data_for(d, 0)),
+            (problem.bcs[d][1].functional, problem.data_for(d, 1)),
+        )
+        for d in range(problem.dim)
+    ]
+    return homogenize_nd(pairs, ctx), problem.domain
+
+
+def _term_by_term(m, orders, p, dps):
+    """d^orders M at p summed term by term over ``m.terms`` at ``dps``
+    digits, and the sum of the terms' magnitudes."""
+    with mpmath.workdps(dps):
+        total = absum = mpmath.mpf(0)
+        for trace, monomials in m.terms:
+            g = 1
+            if trace is not None:
+                data, slots = trace
+                torders = tuple(orders[e] if f is None else f[0] for e, f in slots)
+                tpoint = tuple(p[e] if f is None else f[1] for e, f in slots)
+                g = mpmath.mpf(data.partial_multi(torders, tpoint))
+            for coeff, powers in monomials:
+                term = mpmath.mpf(coeff) * g
+                for k, o, x in zip(powers, orders, p):
+                    if k is not None:
+                        term *= mpmath.ff(k, o) * mpmath.mpf(x) ** (k - o) if o <= k else 0
+                total += term
+                absum += abs(term)
+        return total, absum
+
+
+@pytest.mark.parametrize(
+    "ident, mode",
+    [
+        ("ex1", "mp"),
+        ("ex4", "mp"),
+        ("ex7", "mp"),
+        ("nonseparable", "mp"),
+        ("neumann-pair", "mp"),
+        ("ex4", "float64"),
+    ],
+)
+def test_grid_evaluation_equals_pointwise(ident, mode):
+    """partial_axes on a non-uniform grid with a 1-point axis equals
+    pointwise partial bit for bit, for every orders of total order <= 2,
+    and the term-by-term sum at 30 more digits to 10^(5-D) of the sum of
+    the terms' magnitudes.  The Neumann pair in x needs quadratics, so
+    derivatives of x^2 are covered."""
+    ctx = MP50 if mode == "mp" else FLOAT64
+    with ctx.workprec():
+        if ident == "nonseparable":
+            m = homogenize_nd(_nonseparable_pairs(ctx), ctx)
+            domain = ((0, 1),) * 3
+        elif ident == "neumann-pair":
+            x_faces = (make_neumann(0, 0, ctx), make_neumann(1, 0, ctx))
+            m = homogenize_nd(_nonseparable_pairs(ctx, x_faces), ctx)
+            domain = ((0, 1),) * 3
+        else:
+            m, domain = _example_map(ident, ctx, "0.5" if ident == "ex1" else None)
+        rng = random.Random(ident)
+        axes = [
+            tuple(ctx.num(a + (b - a) * rng.random()) for _ in range(n))
+            for (a, b), n in zip(domain, (4, 1, 3))
+        ]
+        points = list(itertools.product(*axes))
+        for orders in itertools.product(range(3), repeat=m.dim):
+            if sum(orders) > 2:
+                continue
+            grid = m.partial_axes(orders, axes)
+            assert len(grid) == len(points)
+            for v, p in zip(grid, points):
+                assert v == m.partial(orders, p)
+                ref, absum = _term_by_term(m, orders, p, ctx.digits + 30)
+                assert abs(v - ref) <= mpmath.mpf(10) ** (5 - ctx.digits) * absum
+
+
 def test_zero_map():
     m = HomogenizationMap.zero(2, FLOAT64)
     assert m.value((0.3, 0.4)) == 0.0
     assert m.partial((1, 0), (0.3, 0.4)) == 0.0
+
+
+def test_zero_map_on_a_grid():
+    m = HomogenizationMap.zero(2, FLOAT64)
+    assert m.partial_axes((0, 1), [(0.1, 0.2, 0.3), (0.4, 0.5)]) == [0.0] * 6
