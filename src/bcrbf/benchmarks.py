@@ -71,21 +71,9 @@ def _dirichlet_bc(exact, d, loc, ctx):
     return BoundaryCondition(functional, FieldTraceData(exact, d, functional))
 
 
-def _in_ctx(fn):
-    """Problem factories run inside the precision context so every stored
-    constant is built at the requested number of digits."""
-
-    def wrapped(ctx, eps=None):
-        with ctx.workprec():
-            return fn(ctx, eps)
-
-    return wrapped
-
-
 # -- ex1: singularly perturbed convection-diffusion, Robin BCs (1D) -----------
 
 
-@_in_ctx
 def _make_ex1(ctx, eps=None):
     eps = ctx.num(eps if eps is not None else "0.03125")
     one = ctx.one
@@ -147,7 +135,6 @@ def _make_ex1(ctx, eps=None):
 # -- ex2: Poisson with Dirichlet/Neumann/Robin faces (2D) ----------------------
 
 
-@_in_ctx
 def _make_ex2(ctx, eps=None):
     pi = ctx.pi
     sx = fn_product(fn_sin(ctx, pi / 6), fn_sin(ctx, 7 * pi / 4))
@@ -182,7 +169,6 @@ def _make_ex2(ctx, eps=None):
 # -- ex3: Poisson, homogeneous Dirichlet on [0, pi] x [0, 1] -------------------
 
 
-@_in_ctx
 def _make_ex3(ctx, eps=None):
     e1 = ctx.exp(ctx.one)
     e3 = ctx.exp(ctx.num(3))
@@ -237,7 +223,6 @@ def _make_ex3(ctx, eps=None):
 # -- ex4: Poisson 2 e^(x-y), nonhomogeneous Dirichlet on [0, 1]^2 --------------
 
 
-@_in_ctx
 def _make_ex4(ctx, eps=None):
     exact = SumField(
         [
@@ -268,7 +253,6 @@ def _make_ex4(ctx, eps=None):
 # -- ex5: Poisson, mixed Dirichlet/Neumann on [0, pi/2] x [0, 2] ---------------
 
 
-@_in_ctx
 def _make_ex5(ctx, eps=None):
     quarter = ctx.one / 4
     exact = ProductField(
@@ -324,7 +308,6 @@ def _poly_fn(coeffs):
     )
 
 
-@_in_ctx
 def _make_ex6(ctx, eps=None):
     pi = ctx.pi
     epi = ctx.exp(pi)
@@ -384,7 +367,6 @@ def _make_ex6(ctx, eps=None):
 # -- ex7: 3D Poisson, Dirichlet on [-1/2, 1/2]^3 -------------------------------
 
 
-@_in_ctx
 def _make_ex7(ctx, eps=None):
     def handler(orders, p):
         s = 4 + p[0] + p[1] + p[2]
@@ -554,26 +536,25 @@ def self_check(record, ctx, n_samples=50, seed=1234):
             ctx.num(a + (b - a) * rng.random()) for a, b in problem.domain
         )
 
-    with ctx.workprec():
-        pde = ctx.zero
-        for _ in range(n_samples):
-            p = sample()
-            r = abs(problem.operator.apply(problem.exact, p) - ctx.num(problem.rhs(p)))
-            pde = max(pde, r)
-        bc = ctx.zero
-        for d in range(dim):
-            for side in (0, 1):
-                functional = problem.bcs[d][side].functional
-                data = problem.data_for(d, side)
-                for _ in range(max(n_samples // 5, 3)):
-                    t = tuple(
-                        ctx.num(a + (b - a) * rng.random())
-                        for e, (a, b) in enumerate(problem.domain)
-                        if e != d
-                    )
-                    r = abs(
-                        apply_functional(functional, d, problem.exact, t)
-                        - data.value(t)
-                    )
-                    bc = max(bc, r)
+    pde = ctx.zero
+    for _ in range(n_samples):
+        p = sample()
+        r = abs(problem.operator.apply(problem.exact, p) - ctx.num(problem.rhs(p)))
+        pde = max(pde, r)
+    bc = ctx.zero
+    for d in range(dim):
+        for side in (0, 1):
+            functional = problem.bcs[d][side].functional
+            data = problem.data_for(d, side)
+            for _ in range(max(n_samples // 5, 3)):
+                t = tuple(
+                    ctx.num(a + (b - a) * rng.random())
+                    for e, (a, b) in enumerate(problem.domain)
+                    if e != d
+                )
+                r = abs(
+                    apply_functional(functional, d, problem.exact, t)
+                    - data.value(t)
+                )
+                bc = max(bc, r)
     return pde, bc

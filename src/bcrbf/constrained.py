@@ -14,8 +14,9 @@ point, and every correction trace carries analytic derivative access
 (differentiating the underlying kernel's mixed partials, never numeric
 differentiation).
 
-A ConstrainedKernel is immutable after construction; like the rest of the
-package it runs in one thread (see ``numerics``).
+A ConstrainedKernel is immutable after construction and computes at the
+digits of its base kernel's ``Precision``, in any thread (see
+``numerics``).
 """
 
 from __future__ import annotations
@@ -74,17 +75,16 @@ def impose(kernel, functional):
     meaningless before it is exactly zero.
     """
     ctx = kernel.ctx
-    with ctx.workprec():
-        gamma = bilinear(functional, functional, kernel)
-        if abs(gamma) <= ctx.tol(5):
-            raise DegenerateConstraint(
-                f"bilinear denominator {float(gamma):.3e} is numerically zero "
-                f"for {functional!r}",
-                gamma=gamma,
-            )
-        phi = apply_to_kernel_slot(functional, kernel, "second")  # function of x
-        psi = apply_to_kernel_slot(functional, kernel, "first")  # function of y
-        corr = RankOneCorrection(phi, psi, gamma)
+    gamma = bilinear(functional, functional, kernel)
+    if abs(gamma) <= ctx.tol(5):
+        raise DegenerateConstraint(
+            f"bilinear denominator {float(gamma):.3e} is numerically zero "
+            f"for {functional!r}",
+            gamma=gamma,
+        )
+    phi = apply_to_kernel_slot(functional, kernel, "second")  # function of x
+    psi = apply_to_kernel_slot(functional, kernel, "first")  # function of y
+    corr = RankOneCorrection(phi, psi, gamma)
     if isinstance(kernel, ConstrainedKernel):
         return ConstrainedKernel(
             kernel.base,

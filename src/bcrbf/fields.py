@@ -7,9 +7,10 @@ solutions, homogenization maps and solver solutions all implement it, so
 boundary functionals and differential operators apply to any of them
 through the same helpers.
 
-Boundary *data* lives on a face: a function of the tangential coordinates
-with per-direction derivative access (order <= 2, what the PDE operator
-needs after homogenization).
+Boundary *data* lives on a face and speaks the same protocol: it is a
+field over the face's tangential coordinates (``dim`` of them), with
+mixed partials up to the orders the PDE operator needs after
+homogenization.
 """
 
 from __future__ import annotations
@@ -126,14 +127,6 @@ def fn_sum(*fns):
     )
 
 
-def fn_scale(c, f):
-    return Fn1(
-        lambda t: c * f(t),
-        lambda t: c * f.deriv(t, 1),
-        lambda t: c * f.deriv(t, 2),
-    )
-
-
 # -- scalar fields ------------------------------------------------------------
 
 
@@ -187,57 +180,18 @@ class LambdaField(ScalarField):
 # -- boundary data ------------------------------------------------------------
 
 
-class BoundaryData:
-    """Data on a face: function of ``arity`` tangential coordinates."""
+class ConstantData(ScalarField):
+    """The constant ``c`` over ``dim`` tangential coordinates."""
 
-    arity = None
-
-    def value(self, tpoint=()):
-        raise NotImplementedError
-
-    def partial(self, i, order, tpoint):
-        """Single-direction tangential derivative."""
-        raise NotImplementedError
-
-    def partial_multi(self, orders, tpoint):
-        nz = [i for i, o in enumerate(orders) if o]
-        if not nz:
-            return self.value(tpoint)
-        if len(nz) == 1:
-            return self.partial(nz[0], orders[nz[0]], tpoint)
-        raise NotImplementedError(
-            f"{type(self).__name__} does not supply mixed tangential partials"
-        )
-
-
-class ConstantData(BoundaryData):
-    def __init__(self, c, arity=0):
+    def __init__(self, c, dim=0):
         self.c = c
-        self.arity = arity
+        self.dim = dim
 
-    def value(self, tpoint=()):
-        return self.c
-
-    def partial(self, i, order, tpoint):
-        return 0 * self.c
+    def partial(self, orders, p):
+        return 0 * self.c if any(orders) else self.c
 
 
-class Fn1Data(BoundaryData):
-    """Univariate tangential data (the 2D case)."""
-
-    arity = 1
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def value(self, tpoint=()):
-        return self.fn(tpoint[0])
-
-    def partial(self, i, order, tpoint):
-        return self.fn.deriv(tpoint[0], order)
-
-
-class FieldTraceData(BoundaryData):
+class FieldTraceData(ScalarField):
     """Boundary data induced by applying a functional to a known field.
 
     For a functional L acting in direction ``d`` on field u, the data is
@@ -251,46 +205,29 @@ class FieldTraceData(BoundaryData):
         self.field = field
         self.d = d
         self.terms = functional.terms
-        self.arity = field.dim - 1
+        self.dim = field.dim - 1
 
-    def _combine(self, extra_orders, tpoint):
+    def partial(self, orders, tpoint):
         total = 0
         for t in self.terms:
-            orders = list(extra_orders)
-            orders[self.d] += t.order
+            full = embed_point(orders, self.d, t.order)
             p = embed_point(tpoint, self.d, t.location)
-            total += t.coeff * self.field.partial(tuple(orders), p)
+            total += t.coeff * self.field.partial(full, p)
         return total
 
-    def _lift(self, torders):
-        out = [0] * self.field.dim
-        tang = [e for e in range(self.field.dim) if e != self.d]
-        for i, o in zip(tang, torders):
-            out[i] = o
-        return out
 
-    def value(self, tpoint=()):
-        return self._combine([0] * self.field.dim, tpoint)
-
-    def partial(self, i, order, tpoint):
-        torders = [0] * self.arity
-        torders[i] = order
-        return self._combine(self._lift(torders), tpoint)
-
-    def partial_multi(self, orders, tpoint):
-        return self._combine(self._lift(orders), tpoint)
-
-
-def as_data(data, functional, arity):
-    """Normalize user data: None -> the functional's rhs as a constant."""
+def as_data(data, functional, dim):
+    """Normalize user data to a field over ``dim`` tangential coordinates:
+    None -> the functional's rhs as a constant, an Fn1 -> a one-factor
+    ProductField, any other non-field -> a constant."""
     if data is None:
-        return ConstantData(functional.rhs, arity)
-    if isinstance(data, BoundaryData):
-        if data.arity != arity:
-            raise ValueError(f"data arity {data.arity} != expected {arity}")
-        return data
+        return ConstantData(functional.rhs, dim)
     if isinstance(data, Fn1):
-        if arity != 1:
+        if dim != 1:
             raise ValueError("Fn1 data only fits one tangential coordinate")
-        return Fn1Data(data)
-    return ConstantData(data, arity)
+        return ProductField([data])
+    if isinstance(data, ScalarField):
+        if data.dim != dim:
+            raise ValueError(f"data over {data.dim} coordinates, expected {dim}")
+        return data
+    return ConstantData(data, dim)

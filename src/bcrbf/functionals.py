@@ -199,7 +199,7 @@ def bilinear(l1, l2, kernel):
 #   neumann @LOC [= RHS]
 #   robin ALPHA BETA @LOC [= RHS]
 #   multipoint @A : ALPHA1 @XI1, ALPHA2 @XI2, ... [= PSI]
-# Numbers are plain decimals, parsed at the active precision.
+# Numbers are plain decimals, parsed at the digits of ``ctx``.
 
 
 def _fmt_num(x):

@@ -39,8 +39,9 @@ mismatch).  Corner-incompatible data is not rejected: the final sweep's
 directions are matched exactly and earlier ones self-correct only when the
 data are compatible, which is documented behavior.
 
-A map evaluates at its own precision and memoizes into a dict it owns;
-like the rest of the package it is meant for one thread (see
+A map evaluates at the digits of its ``Precision``, at points rounded to
+them, and memoizes trace values into a dict it owns.  Threads sharing a
+map at worst compute a memoized value twice, to the same bits (see
 ``numerics``).
 """
 
@@ -51,7 +52,6 @@ import math
 
 from .errors import NoHomogenizer
 from .fields import ConstantData, as_data
-from .functionals import make_dirichlet
 from .numerics import dot, mode_products
 
 _MAX_ANSATZ_DEGREE = 3
@@ -62,7 +62,8 @@ class HomogenizationMap:
 
     Built from (coeff, powers, trace) terms.  ``powers[e]`` is the
     monomial degree in x_e, or None where the trace varies with x_e.
-    ``trace`` is None (the constant 1) or (data, slots): a BoundaryData and,
+    ``trace`` is None (the constant 1) or (data, slots): a face's data, a
+    field over its tangential coordinates (``fields.as_data``), and,
     per tangential coordinate of its face, (e, None) when it follows x_e or
     (e, (order, location)) when it is differentiated and frozen there.
     ``terms`` holds them grouped as (trace, [(coeff, powers), ...]), and
@@ -101,46 +102,47 @@ class HomogenizationMap:
         degrees k >= orders[e] otherwise.  C is then contracted along each
         swept axis with the matrix d^o x^k at the grid's x_e (o =
         orders[e]), the identity on T.  A trace whose monomials all vanish
-        under d^orders is not evaluated.
+        under d^orders is not evaluated.  Coordinates are rounded to the
+        map's digits first.
         """
         ctx = self.ctx
         orders = tuple(orders)
+        axes = [[ctx.num(x) for x in ax] for ax in axes]
         total = [ctx.zero] * math.prod(map(len, axes))
-        with ctx.workprec():
-            for follows, traces in self._groups:
-                swept = [e for e in range(self.dim) if e not in follows]
-                rows = []
-                for trace, monomials in traces:
-                    # keyed by the degrees left after differentiating
-                    coeffs = {
-                        tuple(powers[e] - orders[e] for e in swept): coeff
-                        for coeff, powers in monomials
-                        if all(powers[e] >= orders[e] for e in swept)
-                    }
-                    if coeffs:
-                        rows.append((coeffs, self._trace_values(trace, orders, axes)))
-                if not rows:
-                    continue
-                shape = [len(ax) for ax in axes]
-                for i, e in enumerate(swept):
-                    shape[e] = 1 + max(key[i] for coeffs, _ in rows for key in coeffs)
-                c = []
-                for idx in itertools.product(*map(range, shape)):
-                    key = tuple(idx[e] for e in swept)
-                    t = 0
-                    for e in follows:
-                        t = t * shape[e] + idx[e]
-                    pairs = [(cs[key], g[t]) for cs, g in rows if key in cs]
-                    c.append(dot(ctx, *zip(*pairs)) if pairs else ctx.zero)
-                mats = [None] * self.dim
-                for e in swept:
-                    o = orders[e]
-                    mats[e] = [
-                        [math.perm(o + k, o) * x**k for k in range(shape[e])]
-                        for x in axes[e]
-                    ]
-                vals = mode_products(ctx, c, shape, mats)
-                total = [a + b for a, b in zip(total, vals)]
+        for follows, traces in self._groups:
+            swept = [e for e in range(self.dim) if e not in follows]
+            rows = []
+            for trace, monomials in traces:
+                # keyed by the degrees left after differentiating
+                coeffs = {
+                    tuple(powers[e] - orders[e] for e in swept): coeff
+                    for coeff, powers in monomials
+                    if all(powers[e] >= orders[e] for e in swept)
+                }
+                if coeffs:
+                    rows.append((coeffs, self._trace_values(trace, orders, axes)))
+            if not rows:
+                continue
+            shape = [len(ax) for ax in axes]
+            for i, e in enumerate(swept):
+                shape[e] = 1 + max(key[i] for coeffs, _ in rows for key in coeffs)
+            c = []
+            for idx in itertools.product(*map(range, shape)):
+                key = tuple(idx[e] for e in swept)
+                t = 0
+                for e in follows:
+                    t = t * shape[e] + idx[e]
+                pairs = [(cs[key], g[t]) for cs, g in rows if key in cs]
+                c.append(dot(ctx, *zip(*pairs)) if pairs else ctx.zero)
+            mats = [None] * self.dim
+            for e in swept:
+                o = orders[e]
+                mats[e] = [
+                    [math.perm(o + k, o) * x**k for k in range(shape[e])]
+                    for x in axes[e]
+                ]
+            vals = mode_products(ctx, c, shape, mats)
+            total = [a + b for a, b in zip(total, vals)]
         return total
 
     def _trace_values(self, trace, orders, axes):
@@ -156,7 +158,7 @@ class HomogenizationMap:
             key = (data, torders, tpoint)
             val = self._memo.get(key)
             if val is None:
-                val = self._memo[key] = data.partial_multi(torders, tpoint)
+                val = self._memo[key] = data.partial(torders, tpoint)
             out.append(val)
         return out
 
@@ -209,30 +211,29 @@ def _functional_on_monomial(functional, k, ctx):
 def _ansatz_weights(l1, l2, ctx):
     """Pick monomial powers (k1, k2) and the 2x2 inverse mapping data to
     coefficients, escalating the degree while the system stays singular."""
-    with ctx.workprec():
-        for degree in range(1, _MAX_ANSATZ_DEGREE + 1):
-            rows = [
-                [_functional_on_monomial(l, k, ctx) for k in range(degree + 1)]
-                for l in (l1, l2)
-            ]
-            best = None
-            for k1 in range(degree + 1):
-                for k2 in range(k1 + 1, degree + 1):
-                    det = rows[0][k1] * rows[1][k2] - rows[0][k2] * rows[1][k1]
-                    scale = max(
-                        abs(rows[0][k1]) + abs(rows[1][k1]), ctx.one
-                    ) * max(abs(rows[0][k2]) + abs(rows[1][k2]), ctx.one)
-                    if best is None or abs(det) / scale > best[0]:
-                        best = (abs(det) / scale, k1, k2, det)
-            rel, k1, k2, det = best
-            if rel > ctx.tol(5):
-                s11, s12 = rows[0][k1], rows[0][k2]
-                s21, s22 = rows[1][k1], rows[1][k2]
-                w = (
-                    (s22 / det, -s12 / det),
-                    (-s21 / det, s11 / det),
-                )
-                return (k1, k2), w
+    for degree in range(1, _MAX_ANSATZ_DEGREE + 1):
+        rows = [
+            [_functional_on_monomial(l, k, ctx) for k in range(degree + 1)]
+            for l in (l1, l2)
+        ]
+        best = None
+        for k1 in range(degree + 1):
+            for k2 in range(k1 + 1, degree + 1):
+                det = rows[0][k1] * rows[1][k2] - rows[0][k2] * rows[1][k1]
+                scale = max(
+                    abs(rows[0][k1]) + abs(rows[1][k1]), ctx.one
+                ) * max(abs(rows[0][k2]) + abs(rows[1][k2]), ctx.one)
+                if best is None or abs(det) / scale > best[0]:
+                    best = (abs(det) / scale, k1, k2, det)
+        rel, k1, k2, det = best
+        if rel > ctx.tol(5):
+            s11, s12 = rows[0][k1], rows[0][k2]
+            s21, s22 = rows[1][k1], rows[1][k2]
+            w = (
+                (s22 / det, -s12 / det),
+                (-s21 / det, s11 / det),
+            )
+            return (k1, k2), w
     raise NoHomogenizer(
         f"no polynomial ansatz up to degree {_MAX_ANSATZ_DEGREE} matches "
         f"{l1!r} and {l2!r}"
@@ -243,55 +244,29 @@ def homogenize_nd(pairs_per_dim, ctx):
     """Build M from per-direction ((L1, data1), (L2, data2)) assignments.
 
     Entries of ``pairs_per_dim`` may be None to skip a direction.  Data
-    items may be None (use the functional's rhs), scalars, Fn1, or
-    BoundaryData over the tangential coordinates.
+    items may be None (use the functional's rhs), scalars, Fn1, or fields
+    over the tangential coordinates.
     """
     dim = len(pairs_per_dim)
     terms = {}
-    with ctx.workprec():
-        for d, pair in enumerate(pairs_per_dim):
-            if pair is None:
-                continue
-            (l1, data1), (l2, data2) = pair
-            (k1, k2), w = _ansatz_weights(l1, l2, ctx)
-            # data_s - L_s(M), the mismatch each functional leaves
-            resid = []
-            for l, data in ((l1, data1), (l2, data2)):
-                mismatch = _face_datum(as_data(data, l, dim - 1), d, dim)
-                for key, c in _apply_along(l, d, terms).items():
-                    mismatch[key] = mismatch.get(key, 0) - c
-                resid.append(mismatch)
-            for row, k in zip(w, (k1, k2)):
-                for weight, mismatch in zip(row, resid):
-                    for (powers, trace), c in mismatch.items():
-                        key = (powers[:d] + (k,) + powers[d + 1:], trace)
-                        terms[key] = terms.get(key, 0) + weight * c
+    for d, pair in enumerate(pairs_per_dim):
+        if pair is None:
+            continue
+        (l1, data1), (l2, data2) = pair
+        (k1, k2), w = _ansatz_weights(l1, l2, ctx)
+        # data_s - L_s(M), the mismatch each functional leaves
+        resid = []
+        for l, data in ((l1, data1), (l2, data2)):
+            mismatch = _face_datum(as_data(data, l, dim - 1), d, dim)
+            for key, c in _apply_along(l, d, terms).items():
+                mismatch[key] = mismatch.get(key, 0) - c
+            resid.append(mismatch)
+        for row, k in zip(w, (k1, k2)):
+            for weight, mismatch in zip(row, resid):
+                for (powers, trace), c in mismatch.items():
+                    key = (powers[:d] + (k,) + powers[d + 1:], trace)
+                    terms[key] = terms.get(key, 0) + weight * c
     return HomogenizationMap(
         dim, [(c, powers, trace) for (powers, trace), c in terms.items() if c], ctx
     )
 
-
-def homogenize_1d(l1, l2, ctx):
-    """Minimal-degree polynomial p with L1 p = rhs1, L2 p = rhs2."""
-    return homogenize_nd([((l1, None), (l2, None))], ctx)
-
-
-def homogenize_2d_dirichlet(g1, g2, h1, h2, rect, ctx):
-    """Dirichlet data on the four edges of [a,b] x [c,d].
-
-    g1, g2 are data on x = a and x = b (functions of y); h1, h2 on y = c
-    and y = d (functions of x).  This is the x-blend / y-blend two-stage
-    construction, expressed through the general directional sweep.
-    """
-    (a, b), (c, d) = rect
-    pairs = [
-        (
-            (make_dirichlet(a, 0, ctx), g1),
-            (make_dirichlet(b, 0, ctx), g2),
-        ),
-        (
-            (make_dirichlet(c, 0, ctx), h1),
-            (make_dirichlet(d, 0, ctx), h2),
-        ),
-    ]
-    return homogenize_nd(pairs, ctx)

@@ -48,71 +48,70 @@ def kansa_solve(problem, counts, shape, ctx, estimate_conditioning=True):
     dim = problem.dim
     if len(counts) != dim:
         raise ValueError("counts must match the problem dimension")
-    with ctx.workprec():
-        shape = ctx.num(shape)
-        axes = _inclusive_axes(problem.domain, counts, ctx)
-        grid = Grid(
-            tuple(tuple(ctx.num(v) for v in ab) for ab in problem.domain),
-            tuple(axes),
-        )
-        kernels = [GaussianKernel(shape, ctx) for _ in range(dim)]
-        tables = _all_tables(kernels, grid, problem.operator)
-        # per-face functional rows in the normal direction, one value per center
-        face_vectors = {}
-        for d in range(dim):
-            for side in (0, 1):
-                functional = problem.bcs[d][side].functional
-                k = kernels[d]
-                face_vectors[(d, side)] = [
-                    sum(
-                        t.coeff * k.mixed_partial(t.order, 0, t.location, xj)
-                        for t in functional.terms
-                    )
-                    for xj in axes[d]
-                ]
+    shape = ctx.num(shape)
+    axes = _inclusive_axes(problem.domain, counts, ctx)
+    grid = Grid(
+        tuple(tuple(ctx.num(v) for v in ab) for ab in problem.domain),
+        tuple(axes),
+    )
+    kernels = [GaussianKernel(shape, ctx) for _ in range(dim)]
+    tables = _all_tables(kernels, grid, problem.operator)
+    # per-face functional rows in the normal direction, one value per center
+    face_vectors = {}
+    for d in range(dim):
+        for side in (0, 1):
+            functional = problem.bcs[d][side].functional
+            k = kernels[d]
+            face_vectors[(d, side)] = [
+                sum(
+                    t.coeff * k.mixed_partial(t.order, 0, t.location, xj)
+                    for t in functional.terms
+                )
+                for xj in axes[d]
+            ]
 
-        idx = grid.indices()
-        rows = []
-        rhs = []
-        for ii, p in zip(idx, grid.points()):
-            face = _face_of(ii, grid.counts)
-            row = []
-            if face is None:
-                coeffs = [t.coeff_at(p) for t in problem.operator.terms]
-                for jj in idx:
-                    v = 0
-                    for t, c in zip(problem.operator.terms, coeffs):
-                        prod = c
-                        for tab, m, a_i, a_j in zip(tables, t.orders, ii, jj):
-                            prod = prod * tab[m][a_i][a_j]
-                        v += prod
-                    row.append(v)
-                rhs.append(ctx.num(problem.rhs(p)))
-            else:
-                d, side = face
-                fvec = face_vectors[(d, side)]
-                for jj in idx:
-                    prod = fvec[jj[d]]
-                    for e in range(dim):
-                        if e != d:
-                            prod = prod * tables[e][0][ii[e]][jj[e]]
-                    row.append(prod)
-                data = problem.data_for(d, side)
-                tpoint = tuple(x for e, x in enumerate(p) if e != d)
-                rhs.append(ctx.num(data.value(tpoint)))
-            rows.append(row)
+    idx = grid.indices()
+    rows = []
+    rhs = []
+    for ii, p in zip(idx, grid.points()):
+        face = _face_of(ii, grid.counts)
+        row = []
+        if face is None:
+            coeffs = [t.coeff_at(p) for t in problem.operator.terms]
+            for jj in idx:
+                v = 0
+                for t, c in zip(problem.operator.terms, coeffs):
+                    prod = c
+                    for tab, m, a_i, a_j in zip(tables, t.orders, ii, jj):
+                        prod = prod * tab[m][a_i][a_j]
+                    v += prod
+                row.append(v)
+            rhs.append(ctx.num(problem.rhs(p)))
+        else:
+            d, side = face
+            fvec = face_vectors[(d, side)]
+            for jj in idx:
+                prod = fvec[jj[d]]
+                for e in range(dim):
+                    if e != d:
+                        prod = prod * tables[e][0][ii[e]][jj[e]]
+                row.append(prod)
+            data = problem.data_for(d, side)
+            tpoint = tuple(x for e, x in enumerate(p) if e != d)
+            rhs.append(ctx.num(data.value(tpoint)))
+        rows.append(row)
 
-        try:
-            fact = lu_factor(ctx, rows)
-        except SingularMatrix as exc:
-            raise SingularMatrix(
-                f"Kansa collocation matrix singular at pivot {exc.pivot_index}; "
-                f"remedies: larger shape parameter, fewer nodes, or higher "
-                f"precision",
-                pivot_index=exc.pivot_index,
-            ) from None
-        lam = fact.solve_vec(rhs)
-        diagnostics = {"mode": "kansa", "shape": shape, "counts": tuple(counts)}
-        if estimate_conditioning:
-            diagnostics["cond_AL"] = fact.cond1_estimate()
-        return Solution(ctx, grid, kernels, lam, None, None, diagnostics)
+    try:
+        fact = lu_factor(ctx, rows)
+    except SingularMatrix as exc:
+        raise SingularMatrix(
+            f"Kansa collocation matrix singular at pivot {exc.pivot_index}; "
+            f"remedies: larger shape parameter, fewer nodes, or higher "
+            f"precision",
+            pivot_index=exc.pivot_index,
+        ) from None
+    lam = fact.solve_vec(rhs)
+    diagnostics = {"mode": "kansa", "shape": shape, "counts": tuple(counts)}
+    if estimate_conditioning:
+        diagnostics["cond_AL"] = fact.cond1_estimate()
+    return Solution(ctx, grid, kernels, lam, None, None, diagnostics)

@@ -3,8 +3,8 @@
 The Gaussian kernel here uses the convention exp(-c^2 (x-y)^2): the shape
 parameter multiplies the distance, matching the RBF-PS literature.  Any
 object exposing ``eval(x, y)`` and ``mixed_partial(m, n, x, y)`` works as a
-kernel handle downstream; kernels are immutable value objects and, like the
-rest of the package, run in one thread (see ``numerics``).
+kernel handle downstream.  A kernel computes at the digits of its
+``Precision`` and may be shared between threads (see ``numerics``).
 """
 
 from __future__ import annotations
@@ -52,11 +52,8 @@ class GaussianKernel:
     def _gauss(self, delta):
         """exp(-(c*delta)^2), memoized per offset.
 
-        The cache is a plain dict, so a kernel is used from one thread, as
-        the whole package is (see ``numerics``).  A cached exp keeps the
-        precision active at its first call, so a kernel must not be shared
-        across different working precisions; the solver pipeline always
-        evaluates inside the kernel's own context.
+        Every cached value is at the kernel's digits.  Threads sharing a
+        kernel at worst compute an entry twice, to the same bits.
         """
         e = self._expcache.get(delta)
         if e is None:

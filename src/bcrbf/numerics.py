@@ -6,32 +6,47 @@ Two precision modes are supported:
 * ``mp``     -- mpmath big floats, correctly rounded to ``dps`` decimal
   digits (default 100).
 
-A computation stays in the mode of its ``Precision``; float64 and mp
-values are never mixed.  The one place where mp digit counts differ
-inside a computation is ``refine``: to make a D-digit answer accurate to
-D digits it factors at D plus guard digits and carries residuals and the
-refined solution at more digits still, then the caller rounds the result
-back to D.
+An mp ``Precision`` owns an mpmath context at its digits, one context
+shared per digit count, and its numbers carry that context: arithmetic on
+them rounds at its digits wherever it runs, with no precision block, and
+mpmath's process-wide precision is neither read nor set.  Where numbers of
+two contexts meet, an operation rounds at the context of its left operand
+(or of the mpmath function called), so code that mixes digit counts
+converts on entry.  The one place where mp digit counts differ inside a
+computation is ``refine``: to make a D-digit answer accurate to D digits
+it factors at D plus guard digits and carries residuals and the refined
+solution at more digits still, then the caller rounds the result back to
+D.
 
-Matrices are row-major lists of lists of scalars of the active mode.  The
-package runs in one thread: ``Precision.workprec`` sets mpmath's
-process-wide precision, so no two computations may run in concurrent
-threads of one process.  ``reporting.run_sweep`` with ``jobs > 1`` runs its
-solves in worker processes.  Elimination order is deterministic, so results
-are bit-reproducible per precision mode.
+Matrices are row-major lists of lists of scalars of one mode.  Contexts
+are never changed after they are made, so computations may run in
+concurrent threads, at equal or different digits.  Context-bound numbers
+do not pickle: processes exchange precision specs (``Precision.parse``),
+as ``reporting.run_sweep`` with ``jobs > 1`` does.  Elimination order is
+deterministic, so results are bit-reproducible per precision mode.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass
 
 import mpmath
-from mpmath import mp
 
 from .errors import NotSymmetric, SingularMatrix
+
+_CONTEXTS = {}
+
+
+def _mp_context(dps):
+    """The mpmath context at ``dps`` digits, made once per digit count."""
+    context = _CONTEXTS.get(dps)
+    if context is None:
+        context = mpmath.MPContext()
+        context.dps = dps
+        context = _CONTEXTS.setdefault(dps, context)
+    return context
 
 
 class Precision:
@@ -42,9 +57,13 @@ class Precision:
     Gaussian Gram matrices are near-singular by design, so the singularity
     cutoff must track the working precision rather than sit at a fixed
     magnitude.
+
+    In mp mode ``mp`` is the mpmath context at ``dps`` digits: every number
+    this object makes, and every result of arithmetic with such a number
+    on the left, is rounded at ``dps`` digits.  It is None for float64.
     """
 
-    __slots__ = ("mode", "dps")
+    __slots__ = ("mode", "dps", "mp")
 
     def __init__(self, mode="float64", dps=100):
         if mode not in ("float64", "mp"):
@@ -53,6 +72,10 @@ class Precision:
             raise ValueError("mp mode needs at least 5 digits")
         self.mode = mode
         self.dps = int(dps)
+        self.mp = _mp_context(self.dps) if mode == "mp" else None
+
+    def __reduce__(self):
+        return Precision, (self.mode, self.dps)
 
     @classmethod
     def parse(cls, text):
@@ -74,12 +97,6 @@ class Precision:
         """The mp context at ``dps`` digits (float64 stays float64)."""
         return self if self.mode == "float64" else Precision("mp", dps)
 
-    def workprec(self):
-        """Context manager activating this precision for mp arithmetic."""
-        if self.mode == "mp":
-            return mp.workdps(self.dps)
-        return contextlib.nullcontext()
-
     def tol(self, offset):
         """10**(offset - digits), the working-precision tolerance ladder."""
         return 10.0 ** (offset - self.digits)
@@ -93,8 +110,7 @@ class Precision:
         """
         s = max(1.0, float(scale))
         if self.mode == "mp":
-            with mp.workdps(self.dps):
-                return mpmath.mpf(10) ** (-2 * self.digits) * s
+            return self.mp.mpf(10) ** (-2 * self.digits) * s
         return 10.0 ** (-2 * self.digits) * s
 
     # -- scalar construction and elementary functions ----------------------
@@ -103,32 +119,30 @@ class Precision:
         """Coerce ``x`` (number or decimal string) into this mode's scalar."""
         if self.mode == "float64":
             return float(x)
-        with mp.workdps(self.dps):
-            return mpmath.mpf(x)
+        return self.mp.mpf(x)
 
     def exp(self, x):
-        return math.exp(x) if self.mode == "float64" else mpmath.exp(x)
+        return math.exp(x) if self.mode == "float64" else self.mp.exp(x)
 
     def sin(self, x):
-        return math.sin(x) if self.mode == "float64" else mpmath.sin(x)
+        return math.sin(x) if self.mode == "float64" else self.mp.sin(x)
 
     def cos(self, x):
-        return math.cos(x) if self.mode == "float64" else mpmath.cos(x)
+        return math.cos(x) if self.mode == "float64" else self.mp.cos(x)
 
     def sqrt(self, x):
-        return math.sqrt(x) if self.mode == "float64" else mpmath.sqrt(x)
+        return math.sqrt(x) if self.mode == "float64" else self.mp.sqrt(x)
 
     def power(self, x, y):
         if self.mode == "float64":
             return float(x) ** float(y)
-        return mpmath.power(x, y)
+        return self.mp.power(x, y)
 
     @property
     def pi(self):
         if self.mode == "float64":
             return math.pi
-        with mp.workdps(self.dps):
-            return +mpmath.pi
+        return +self.mp.pi
 
     @property
     def zero(self):
@@ -185,11 +199,6 @@ def mat_vec(a, x):
     return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
 
 
-def mat_mul(a, b):
-    bt = transpose(b)
-    return [[sum(ra[k] * cb[k] for k in range(len(ra))) for cb in bt] for ra in a]
-
-
 def max_abs(a):
     return max(abs(v) for row in a for v in row)
 
@@ -213,10 +222,10 @@ def check_finite(a, what="matrix"):
 
 
 def dot(ctx, us, vs):
-    """sum(u * v).  In mp mode mpmath.fdot forms the sum exactly and rounds
-    it once."""
+    """sum(u * v).  In mp mode the context's fdot forms the sum exactly and
+    rounds it once, at the context's digits."""
     if ctx.mode == "mp":
-        return mpmath.fdot(us, vs)
+        return ctx.mp.fdot(us, vs)
     return sum(u * v for u, v in zip(us, vs))
 
 
@@ -249,10 +258,12 @@ def mode_products(ctx, vals, shape, mats):
 
 
 def _minus_dot(ctx, s, us, vs):
-    """s - sum(u * v).  In mp mode mpmath.fdot forms the sum exactly and
-    rounds it once; float64 subtracts term by term in order, as always."""
+    """s - sum(u * v).  In mp mode the context's fdot forms the sum exactly
+    and rounds it once, and the difference is rounded at the context's
+    digits whatever the context of ``s``; float64 subtracts term by term
+    in order, as always."""
     if ctx.mode == "mp":
-        return s - mpmath.fdot(us, vs)
+        return -(ctx.mp.fdot(us, vs) - s)
     for u, v in zip(us, vs):
         s -= u * v
     return s
@@ -269,8 +280,12 @@ class LUFactorization:
     bit-identical per precision mode.  float64 runs the classic
     right-looking sweep.  mp runs the left-looking (Crout) order, the same
     pivots and operands, in which each entry of L and U is one dot product
-    that mpmath.fdot sums exactly and rounds once: no less accurate, and
-    about twice as fast with pure-Python mpmath.
+    that the context's fdot sums exactly and rounds once: no less accurate,
+    and about twice as fast with pure-Python mpmath.
+
+    The factors, and the solutions of ``solve_vec`` and
+    ``solve_transpose_vec``, are at the digits of ``ctx``; the entries of
+    ``a`` are taken exactly, whatever their digits.
     """
 
     def __init__(self, ctx, a):
@@ -281,45 +296,48 @@ class LUFactorization:
         self.ctx = ctx
         self.n = n
         self.norm1_a = norm_1(a)
-        lu = [list(row) for row in a]
+        crout = ctx.mode == "mp"
+        if crout:
+            lu = [_exactly(ctx, row) for row in a]
+            fdot = ctx.mp.fdot
+        else:
+            lu = [list(row) for row in a]
         swaps = []
         tol_pivot = ctx.pivot_tol(max_abs(a))
-        crout = ctx.mode == "mp"
-        with ctx.workprec():
-            for k in range(n):
-                if crout and k:
-                    # column k must be up to date before its pivot is chosen
-                    col = [lu[j][k] for j in range(k)]
-                    for i in range(k, n):
-                        lu[i][k] -= mpmath.fdot(lu[i][:k], col)
-                p = max(range(k, n), key=lambda i: abs(lu[i][k]))
-                if abs(lu[p][k]) <= tol_pivot:
-                    raise SingularMatrix(
-                        f"pivot {k} below tolerance "
-                        f"{mpmath.nstr(tol_pivot, 3)} "
-                        f"(|pivot| = {mpmath.nstr(abs(lu[p][k]) + 0.0, 3)})",
-                        pivot_index=k,
-                    )
-                if p != k:
-                    lu[k], lu[p] = lu[p], lu[k]
-                swaps.append(p)
-                row_k = lu[k]
-                piv = row_k[k]
-                if crout:
-                    if k:
-                        for j in range(k + 1, n):
-                            col = [lu[i][j] for i in range(k)]
-                            row_k[j] -= mpmath.fdot(row_k[:k], col)
-                    for i in range(k + 1, n):
-                        lu[i][k] /= piv
-                    continue
+        for k in range(n):
+            if crout and k:
+                # column k must be up to date before its pivot is chosen
+                col = [lu[j][k] for j in range(k)]
+                for i in range(k, n):
+                    lu[i][k] -= fdot(lu[i][:k], col)
+            p = max(range(k, n), key=lambda i: abs(lu[i][k]))
+            if abs(lu[p][k]) <= tol_pivot:
+                raise SingularMatrix(
+                    f"pivot {k} below tolerance "
+                    f"{mpmath.nstr(tol_pivot, 3)} "
+                    f"(|pivot| = {mpmath.nstr(abs(lu[p][k]) + 0.0, 3)})",
+                    pivot_index=k,
+                )
+            if p != k:
+                lu[k], lu[p] = lu[p], lu[k]
+            swaps.append(p)
+            row_k = lu[k]
+            piv = row_k[k]
+            if crout:
+                if k:
+                    for j in range(k + 1, n):
+                        col = [lu[i][j] for i in range(k)]
+                        row_k[j] -= fdot(row_k[:k], col)
                 for i in range(k + 1, n):
-                    row_i = lu[i]
-                    m = row_i[k] / piv
-                    row_i[k] = m
-                    if m:
-                        for j in range(k + 1, n):
-                            row_i[j] -= m * row_k[j]
+                    lu[i][k] /= piv
+                continue
+            for i in range(k + 1, n):
+                row_i = lu[i]
+                m = row_i[k] / piv
+                row_i[k] = m
+                if m:
+                    for j in range(k + 1, n):
+                        row_i[j] -= m * row_k[j]
         self.lu = lu
         self.swaps = swaps
 
@@ -327,32 +345,30 @@ class LUFactorization:
         """Solve A x = b for one right-hand side."""
         n, lu, ctx = self.n, self.lu, self.ctx
         x = list(b)
-        with ctx.workprec():
-            for k, p in enumerate(self.swaps):
-                if p != k:
-                    x[k], x[p] = x[p], x[k]
-            for i in range(1, n):
-                x[i] = _minus_dot(ctx, x[i], lu[i][:i], x[:i])
-            for i in range(n - 1, -1, -1):
-                row = lu[i]
-                x[i] = _minus_dot(ctx, x[i], row[i + 1:], x[i + 1:]) / row[i]
+        for k, p in enumerate(self.swaps):
+            if p != k:
+                x[k], x[p] = x[p], x[k]
+        for i in range(1, n):
+            x[i] = _minus_dot(ctx, x[i], lu[i][:i], x[:i])
+        for i in range(n - 1, -1, -1):
+            row = lu[i]
+            x[i] = _minus_dot(ctx, x[i], row[i + 1:], x[i + 1:]) / row[i]
         return x
 
     def solve_transpose_vec(self, b):
         """Solve A^T x = b (used by the 1-norm condition estimator)."""
         n, lu, ctx = self.n, self.lu, self.ctx
         x = list(b)
-        with ctx.workprec():
-            for i in range(n):
-                col = [lu[j][i] for j in range(i)]
-                x[i] = _minus_dot(ctx, x[i], col, x[:i]) / lu[i][i]
-            for i in range(n - 1, -1, -1):
-                col = [lu[j][i] for j in range(i + 1, n)]
-                x[i] = _minus_dot(ctx, x[i], col, x[i + 1:])
-            for k in range(n - 1, -1, -1):
-                p = self.swaps[k]
-                if p != k:
-                    x[k], x[p] = x[p], x[k]
+        for i in range(n):
+            col = [lu[j][i] for j in range(i)]
+            x[i] = _minus_dot(ctx, x[i], col, x[:i]) / lu[i][i]
+        for i in range(n - 1, -1, -1):
+            col = [lu[j][i] for j in range(i + 1, n)]
+            x[i] = _minus_dot(ctx, x[i], col, x[i + 1:])
+        for k in range(n - 1, -1, -1):
+            p = self.swaps[k]
+            if p != k:
+                x[k], x[p] = x[p], x[k]
         return x
 
     def solve(self, b):
@@ -364,33 +380,23 @@ class LUFactorization:
     def cond1_estimate(self):
         """Hager-style 1-norm condition estimate ||A||_1 * est(||A^-1||_1)."""
         ctx, n = self.ctx, self.n
-        with ctx.workprec():
-            x = [ctx.num(1) / n] * n
-            inv_norm = ctx.zero
-            for _ in range(5):
-                y = self.solve_vec(x)
-                inv_norm = sum(abs(v) for v in y)
-                xi = [ctx.one if v >= 0 else -ctx.one for v in y]
-                z = self.solve_transpose_vec(xi)
-                j = max(range(n), key=lambda i: abs(z[i]))
-                if abs(z[j]) <= sum(z[i] * x[i] for i in range(n)):
-                    break
-                x = [ctx.zero] * n
-                x[j] = ctx.one
-            return self.norm1_a * inv_norm
+        x = [ctx.num(1) / n] * n
+        inv_norm = ctx.zero
+        for _ in range(5):
+            y = self.solve_vec(x)
+            inv_norm = sum(abs(v) for v in y)
+            xi = [ctx.one if v >= 0 else -ctx.one for v in y]
+            z = self.solve_transpose_vec(xi)
+            j = max(range(n), key=lambda i: abs(z[i]))
+            if abs(z[j]) <= sum(z[i] * x[i] for i in range(n)):
+                break
+            x = [ctx.zero] * n
+            x[j] = ctx.one
+        return inv_norm * self.norm1_a  # rounds at the factor's digits
 
 
 def lu_factor(ctx, a):
     return LUFactorization(ctx, a)
-
-
-def lu_solve(ctx, a, b):
-    """Solve A X = B (B given as an n x k matrix) via partially pivoted LU."""
-    return lu_factor(ctx, a).solve(b)
-
-
-def lu_solve_vec(ctx, a, b):
-    return lu_factor(ctx, a).solve_vec(b)
 
 
 # -- extended-precision iterative refinement --------------------------------
@@ -428,20 +434,30 @@ class Refinement:
     effective_digits: int
 
 
-def _affine_rows(a, x, c=None):
-    """``c + a x`` row by row (``a`` None is the identity).
+def _exactly(ctx, vs):
+    """The numbers ``vs`` taken exactly into the mp context of ``ctx``: its
+    arithmetic on them rounds at its digits, and its fdot converts none."""
+    convert = ctx.mp.convert
+    return [convert(v) for v in vs]
 
-    mpmath.fdot forms every product exactly and adds them in fixed point,
-    so each row is rounded once: a row that cancels down to a tiny
+
+def _affine_rows(ctx, a, x, c=None):
+    """``c + a x`` row by row at the digits of ``ctx`` (``a`` None is the
+    identity, and ``x`` is returned as it is when ``c`` is None too).
+
+    The context's fdot forms every product exactly and adds them in fixed
+    point, so each row is rounded once: a row that cancels down to a tiny
     residual keeps all of its leading digits.
     """
+    fdot, one = ctx.mp.fdot, ctx.one
     if a is None:
-        return list(x) if c is None else [ci + xi for ci, xi in zip(c, x)]
+        if c is None:
+            return list(x)
+        return [fdot(((ci, one), (xi, one))) for ci, xi in zip(c, x)]
     if c is None:
-        return [mpmath.fdot(row, x) for row in a]
-    one = mpmath.mpf(1)
+        return [fdot(row, x) for row in a]
     return [
-        mpmath.fdot(itertools.chain(((ci, one),), zip(row, x)))
+        fdot(itertools.chain(((ci, one),), zip(row, x)))
         for ci, row in zip(c, a)
     ]
 
@@ -485,29 +501,32 @@ def refine(ctx, a, b, factor, guard=0, image=None, shift=None):
 
 
 def _refine_attempt(ctx, a, b, solver, fdigits, image, shift):
-    digits = ctx.digits
-    x = solver.solve_vec(b)
-    with ctx.workprec():
-        # digits that cancel when image maps x to y must be carried by x
-        scale = max(abs(v) for v in _affine_rows(image, x, shift))
-        spread = max(abs(v) for v in x)
-        if image is not None:
-            spread *= norm_inf(image)
-        lost = 0
-        if spread > scale > 0:
-            lost = int(mpmath.ceil(mpmath.log10(spread / scale)))
-        tol = scale * mpmath.mpf(10) ** -(digits + 1)
-        neg_b = [-v for v in b]
+    # the convergence bookkeeping (scale, spread, change, err) rounds at D
+    digits, mp = ctx.digits, ctx.mp
+    x = _exactly(ctx, solver.solve_vec(b))
+    # digits that cancel when image maps x to y must be carried by x
+    scale = max(abs(v) for v in _affine_rows(ctx, image, x, shift))
+    spread = max(abs(v) for v in x)
+    if image is not None:
+        spread *= norm_inf(image)
+    lost = 0
+    if spread > scale > 0:
+        lost = int(mp.ceil(mp.log10(spread / scale)))
+    tol = scale * ctx.num(10) ** -(digits + 1)
+    neg_b = [-v for v in b]
     work = max(fdigits, digits + lost + _WORK_GUARD)
     wctx = ctx.with_digits(work)
+    # each step's products and sums are formed in the work context
+    a = [_exactly(wctx, row) for row in a]
+    if image is not None:
+        image = [_exactly(wctx, row) for row in image]
+    x, neg_b = _exactly(wctx, x), _exactly(wctx, neg_b)
     prev = None
     for steps in range(1, _MAX_STEPS + 1):
-        with wctx.workprec():
-            r = [-v for v in _affine_rows(a, x, neg_b)]
-        d = solver.solve_vec(r)
-        with wctx.workprec():
-            x = [u + v for u, v in zip(x, d)]
-            change = max(abs(v) for v in _affine_rows(image, d))
+        r = [-v for v in _affine_rows(wctx, a, x, neg_b)]
+        d = _exactly(wctx, solver.solve_vec(r))
+        x = [u + v for u, v in zip(x, d)]
+        change = ctx.num(max(abs(v) for v in _affine_rows(wctx, image, d)))
         if prev is None:
             err = change
         elif change < prev / 2:
@@ -519,16 +538,15 @@ def _refine_attempt(ctx, a, b, solver, fdigits, image, shift):
         if err <= tol:
             break
         prev = change
-    with wctx.workprec():
-        y = _affine_rows(image, x, shift)
-        # rounding x to the work precision bounds what y can carry
-        err += spread * mpmath.mpf(10) ** -work
-        if err <= 10 * tol:
-            effective = digits
-        elif scale == 0:
-            effective = 0
-        else:
-            effective = max(0, min(digits, int(-mpmath.log10(err / scale))))
+    y = _affine_rows(wctx, image, x, shift)
+    # rounding x to the work precision bounds what y can carry
+    err += spread * ctx.num(10) ** -work
+    if err <= 10 * tol:
+        effective = digits
+    elif scale == 0:
+        effective = 0
+    else:
+        effective = max(0, min(digits, int(-mp.log10(err / scale))))
     return Refinement(x, y, solver, fdigits, work, steps, effective)
 
 
@@ -554,21 +572,20 @@ def cholesky(ctx, a):
     # fail when a diagonal residual dips below minus a noise-level margin
     tol_pivot = ctx.tol(2) * max(1.0, float(scale))
     g = zeros(ctx, n, n)
-    with ctx.workprec():
-        for j in range(n):
-            d = a[j][j]
+    for j in range(n):
+        d = a[j][j]
+        for k in range(j):
+            d -= g[j][k] * g[j][k]
+        if d <= -tol_pivot:
+            return None
+        if d <= 0:
+            # numerically semidefinite: zero pivot, zero column
+            continue
+        gjj = ctx.sqrt(d)
+        g[j][j] = gjj
+        for i in range(j + 1, n):
+            s = a[i][j]
             for k in range(j):
-                d -= g[j][k] * g[j][k]
-            if d <= -tol_pivot:
-                return None
-            if d <= 0:
-                # numerically semidefinite: zero pivot, zero column
-                continue
-            gjj = ctx.sqrt(d)
-            g[j][j] = gjj
-            for i in range(j + 1, n):
-                s = a[i][j]
-                for k in range(j):
-                    s -= g[i][k] * g[j][k]
-                g[i][j] = s / gjj
+                s -= g[i][k] * g[j][k]
+            g[i][j] = s / gjj
     return g

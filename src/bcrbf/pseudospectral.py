@@ -24,10 +24,10 @@ Boundary nodes are excluded by construction: with boundary-condition-
 satisfying kernels the basis functions vanish under every boundary
 functional, so boundary collocation rows would be identically zero.
 
-Everything runs in one thread: ``Precision.workprec`` sets mpmath's
-process-wide precision, so solves and evaluations must not run in
-concurrent threads of one process.  ``reporting.run_sweep`` with
-``jobs > 1`` runs its solves in worker processes instead.
+Every number of a solve carries the digits of its ``Precision``, so
+solves and evaluations may run in concurrent threads of one process, at
+equal or different digits.  A Solution evaluates at its own digits, at
+points rounded to them.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class BoundaryCondition:
     """A boundary functional plus its data.
 
     ``data`` may be None (constant ``functional.rhs``), a scalar, an Fn1,
-    or a BoundaryData over the tangential coordinates.
+    or a field over the tangential coordinates (see ``fields.as_data``).
     """
 
     functional: object
@@ -214,21 +214,6 @@ def build_grid(domain, counts, scheme="uniform-interior", ctx=None, avoid=()):
 
 
 # -- product kernels and matrix assembly ----------------------------------------
-
-
-def product_kernel_eval(kernels, xs, ys):
-    out = 1
-    for k, x, y in zip(kernels, xs, ys):
-        out *= k.eval(x, y)
-    return out
-
-
-def product_kernel_partial(kernels, orders, xs, ys):
-    """prod_d d^{m_d}/dx_d^{m_d} k_d(x_d, y_d) (derivatives in the first slot)."""
-    out = 1
-    for k, m, x, y in zip(kernels, orders, xs, ys):
-        out *= k.mixed_partial(m, 0, x, y)
-    return out
 
 
 def _axis_tables(kernel, nodes, orders):
@@ -373,18 +358,19 @@ class Solution:
         lam, an n_0 x ... x n_{d-1} array in flat order, is contracted one
         axis at a time with that axis's kernel matrix, m_d x n_d
         (``numerics.mode_products``), and M's values on the same grid are
-        added.  A single point is a grid of 1-point axes.
+        added.  A single point is a grid of 1-point axes.  Coordinates are
+        rounded to the solution's digits first.
         """
         ctx = self.ctx
-        with ctx.workprec():
-            mats = [
-                [[k.mixed_partial(m, 0, x, node) for node in nodes] for x in pts]
-                for k, m, pts, nodes in zip(self.kernels, orders, axes, self.grid.axes)
-            ]
-            vals = mode_products(ctx, self.lam, self.grid.counts, mats)
-            if self.hom is not None:
-                vals = [v + m for v, m in zip(vals, self.hom.partial_axes(orders, axes))]
-            return vals
+        axes = [[ctx.num(x) for x in pts] for pts in axes]
+        mats = [
+            [[k.mixed_partial(m, 0, x, node) for node in nodes] for x in pts]
+            for k, m, pts, nodes in zip(self.kernels, orders, axes, self.grid.axes)
+        ]
+        vals = mode_products(ctx, self.lam, self.grid.counts, mats)
+        if self.hom is not None:
+            vals = [v + m for v, m in zip(vals, self.hom.partial_axes(orders, axes))]
+        return vals
 
     def boundary_residual(self, d, side, problem, tpoint=()):
         bc = problem.bcs[d][side]
@@ -429,88 +415,87 @@ def solve(
     dim = problem.dim
     if len(counts) != dim:
         raise ValueError("counts must match the problem dimension")
-    with ctx.workprec():
-        shape = ctx.num(shape)
-        pairs = []
-        for d in range(dim):
-            low, high = problem.bcs[d]
-            pairs.append(
-                (
-                    (low.functional, problem.data_for(d, 0)),
-                    (high.functional, problem.data_for(d, 1)),
-                )
+    shape = ctx.num(shape)
+    pairs = []
+    for d in range(dim):
+        low, high = problem.bcs[d]
+        pairs.append(
+            (
+                (low.functional, problem.data_for(d, 0)),
+                (high.functional, problem.data_for(d, 1)),
             )
-        hom = homogenize_nd(pairs, ctx)
-
-        kernels = []
-        for d in range(dim):
-            base = GaussianKernel(shape, ctx)
-            funcs = [bc.functional.homogeneous() for bc in problem.bcs[d]]
-            kernels.append(impose_sequence(base, funcs))
-
-        grid = build_grid(
-            problem.domain, counts, scheme, ctx, avoid=problem.support_locations()
         )
+    hom = homogenize_nd(pairs, ctx)
 
-        tables = _all_tables(kernels, grid, problem.operator)
-        a = build_evaluation_matrix(grid, kernels, tables)
-        a_l = build_operator_matrix(grid, kernels, problem.operator, tables)
-        terms = problem.operator.terms
-        lms = [hom.partial_axes(t.orders, grid.axes) for t in terms]
-        f = [
-            ctx.num(problem.rhs(p))
-            - sum(t.coeff_at(p) * lm[i] for t, lm in zip(terms, lms))
-            for i, p in enumerate(grid.points())
+    kernels = []
+    for d in range(dim):
+        base = GaussianKernel(shape, ctx)
+        funcs = [bc.functional.homogeneous() for bc in problem.bcs[d]]
+        kernels.append(impose_sequence(base, funcs))
+
+    grid = build_grid(
+        problem.domain, counts, scheme, ctx, avoid=problem.support_locations()
+    )
+
+    tables = _all_tables(kernels, grid, problem.operator)
+    a = build_evaluation_matrix(grid, kernels, tables)
+    a_l = build_operator_matrix(grid, kernels, problem.operator, tables)
+    terms = problem.operator.terms
+    lms = [hom.partial_axes(t.orders, grid.axes) for t in terms]
+    f = [
+        ctx.num(problem.rhs(p))
+        - sum(t.coeff_at(p) * lm[i] for t, lm in zip(terms, lms))
+        for i, p in enumerate(grid.points())
+    ]
+
+    diagnostics = {"mode": mode, "shape": shape, "counts": tuple(counts)}
+    cond_a = None
+    if ctx.mode == "mp" or estimate_conditioning:
+        cond_a = _cond_a(ctx, tables)
+    mvals = hom.partial_axes((0,) * dim, grid.axes)
+    if mode == "direct":
+        def factor(fctx):
+            return lu_factor(fctx, a_l)
+    else:
+        def factor(fctx):
+            return _OperationalFactors(fctx, a, a_l)
+
+    if ctx.mode == "mp":
+        risky = cond_a is None or cond_a >= ctx.num(10) ** (ctx.digits - REFINE_GUARD)
+        run = refine(
+            ctx, a_l, f, factor, guard=REFINE_GUARD if risky else 0,
+            image=a, shift=mvals,
+        )
+        factors = run.solver
+        lam = [ctx.num(v) for v in run.x]
+        nodal = [ctx.num(v) for v in run.y]
+        diagnostics.update(
+            factor_digits=run.factor_digits,
+            work_digits=run.work_digits,
+            refine_steps=run.steps,
+            effective_digits=run.effective_digits,
+        )
+    elif mode == "direct":
+        factors = factor(ctx)
+        lam = factors.solve_vec(f)
+        nodal = [
+            sum(a[i][j] * lam[j] for j in range(grid.size)) + mvals[i]
+            for i in range(grid.size)
         ]
+    else:
+        factors = factor(ctx)
+        v_nodal = factors.fact_lmat.solve_vec(f)
+        lam = factors.fact_a.solve_vec(v_nodal)
+        nodal = [v + m for v, m in zip(v_nodal, mvals)]
 
-        diagnostics = {"mode": mode, "shape": shape, "counts": tuple(counts)}
-        cond_a = None
-        if ctx.mode == "mp" or estimate_conditioning:
-            cond_a = _cond_a(ctx, tables)
-        mvals = hom.partial_axes((0,) * dim, grid.axes)
+    if estimate_conditioning:
+        diagnostics["cond_A"] = cond_a
         if mode == "direct":
-            def factor(fctx):
-                return lu_factor(fctx, a_l)
+            diagnostics["cond_AL"] = factors.cond1_estimate()
         else:
-            def factor(fctx):
-                return _OperationalFactors(fctx, a, a_l)
+            try:
+                diagnostics["cond_AL"] = lu_factor(ctx, a_l).cond1_estimate()
+            except SingularMatrix:
+                diagnostics["cond_AL"] = None
 
-        if ctx.mode == "mp":
-            risky = cond_a is None or cond_a >= ctx.num(10) ** (ctx.digits - REFINE_GUARD)
-            run = refine(
-                ctx, a_l, f, factor, guard=REFINE_GUARD if risky else 0,
-                image=a, shift=mvals,
-            )
-            factors = run.solver
-            lam = [ctx.num(v) for v in run.x]
-            nodal = [ctx.num(v) for v in run.y]
-            diagnostics.update(
-                factor_digits=run.factor_digits,
-                work_digits=run.work_digits,
-                refine_steps=run.steps,
-                effective_digits=run.effective_digits,
-            )
-        elif mode == "direct":
-            factors = factor(ctx)
-            lam = factors.solve_vec(f)
-            nodal = [
-                sum(a[i][j] * lam[j] for j in range(grid.size)) + mvals[i]
-                for i in range(grid.size)
-            ]
-        else:
-            factors = factor(ctx)
-            v_nodal = factors.fact_lmat.solve_vec(f)
-            lam = factors.fact_a.solve_vec(v_nodal)
-            nodal = [v + m for v, m in zip(v_nodal, mvals)]
-
-        if estimate_conditioning:
-            diagnostics["cond_A"] = cond_a
-            if mode == "direct":
-                diagnostics["cond_AL"] = factors.cond1_estimate()
-            else:
-                try:
-                    diagnostics["cond_AL"] = lu_factor(ctx, a_l).cond1_estimate()
-                except SingularMatrix:
-                    diagnostics["cond_AL"] = None
-
-        return Solution(ctx, grid, kernels, lam, hom, nodal, diagnostics)
+    return Solution(ctx, grid, kernels, lam, hom, nodal, diagnostics)

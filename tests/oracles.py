@@ -1,14 +1,18 @@
-"""Independent numerical oracles used by the test suite only.
+"""Independent numerical oracles and helpers used by the test suite only.
 
-These deliberately avoid the package's analytic derivative paths: finite
-differences check mixed partials, and a Jacobi sweep checks definiteness
-decisions, each from first principles.
+The oracles deliberately avoid the package's analytic derivative paths:
+finite differences check mixed partials, and a Jacobi sweep checks
+definiteness decisions, each from first principles.  The helpers at the
+end are conveniences over the package that only tests use.
 """
 
 import math
 
 import mpmath
-from mpmath import mp
+
+from bcrbf.functionals import make_dirichlet
+from bcrbf.homogenize import homogenize_nd
+from bcrbf.numerics import lu_factor, transpose
 
 # central difference coefficients on offsets -order..order (step h)
 _STENCILS = {
@@ -46,17 +50,19 @@ def fd_mixed_partial_f64(f, m, n, x, y):
     return (4 * fine - coarse) / 3
 
 
-def fd_mixed_partial_mp(f, m, n, x, y, h="1e-12", guard=60):
-    """Same in big-float arithmetic, evaluating f at guard-digit precision so
-    the subtractive cancellation of the stencil stays below the target
+def fd_mixed_partial_mp(f, m, n, x, y, digits, h="1e-12"):
+    """Same in big-float arithmetic at ``digits`` digits.  ``f`` must
+    evaluate at those digits too; enough guard digits above the target's
+    keep the subtractive cancellation of the stencil below its
     tolerance."""
-    with mp.workdps(mp.dps + guard):
-        h = mpmath.mpf(h)
-        total = mpmath.mpf(0)
-        for ox, wx in _STENCILS[m]:
-            for oy, wy in _STENCILS[n]:
-                total += mpmath.mpf(wx) * mpmath.mpf(wy) * f(x + ox * h, y + oy * h)
-        return total / h ** (m + n)
+    mp = mpmath.MPContext()
+    mp.dps = digits
+    x, y, h = mp.convert(x), mp.convert(y), mp.mpf(h)
+    total = mp.mpf(0)
+    for ox, wx in _STENCILS[m]:
+        for oy, wy in _STENCILS[n]:
+            total += mp.mpf(wx) * mp.mpf(wy) * f(x + ox * h, y + oy * h)
+    return total / h ** (m + n)
 
 
 def jacobi_eigenvalues(a, sweeps=50, tol=1e-14):
@@ -84,3 +90,61 @@ def jacobi_eigenvalues(a, sweeps=50, tol=1e-14):
                     a[p][k] = c * apk - s * aqk
                     a[q][k] = s * apk + c * aqk
     return sorted(a[i][i] for i in range(n))
+
+
+# -- helpers over the package -------------------------------------------------
+
+
+def mat_mul(a, b):
+    bt = transpose(b)
+    return [[sum(ra[k] * cb[k] for k in range(len(ra))) for cb in bt] for ra in a]
+
+
+def lu_solve(ctx, a, b):
+    """Solve A X = B (B given as an n x k matrix) via partially pivoted LU."""
+    return lu_factor(ctx, a).solve(b)
+
+
+def lu_solve_vec(ctx, a, b):
+    return lu_factor(ctx, a).solve_vec(b)
+
+
+def product_kernel_eval(kernels, xs, ys):
+    out = 1
+    for k, x, y in zip(kernels, xs, ys):
+        out *= k.eval(x, y)
+    return out
+
+
+def product_kernel_partial(kernels, orders, xs, ys):
+    """prod_d d^{m_d}/dx_d^{m_d} k_d(x_d, y_d) (derivatives in the first slot)."""
+    out = 1
+    for k, m, x, y in zip(kernels, orders, xs, ys):
+        out *= k.mixed_partial(m, 0, x, y)
+    return out
+
+
+def homogenize_1d(l1, l2, ctx):
+    """Minimal-degree polynomial p with L1 p = rhs1, L2 p = rhs2."""
+    return homogenize_nd([((l1, None), (l2, None))], ctx)
+
+
+def homogenize_2d_dirichlet(g1, g2, h1, h2, rect, ctx):
+    """Dirichlet data on the four edges of [a,b] x [c,d].
+
+    g1, g2 are data on x = a and x = b (functions of y); h1, h2 on y = c
+    and y = d (functions of x).  This is the x-blend / y-blend two-stage
+    construction, expressed through the general directional sweep.
+    """
+    (a, b), (c, d) = rect
+    pairs = [
+        (
+            (make_dirichlet(a, 0, ctx), g1),
+            (make_dirichlet(b, 0, ctx), g2),
+        ),
+        (
+            (make_dirichlet(c, 0, ctx), h1),
+            (make_dirichlet(d, 0, ctx), h2),
+        ),
+    ]
+    return homogenize_nd(pairs, ctx)

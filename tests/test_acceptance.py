@@ -95,20 +95,19 @@ def test_criterion_02_positive_definiteness_mp50():
     start = time.perf_counter()
     ctx = MP50
     rng = random.Random(2002)
-    with ctx.workprec():
-        for name, funcs in bc_pairs(ctx).items():
-            hi = 2.0 if name == "multipoint" else 1.0
-            ck = impose_sequence(GaussianKernel(1, ctx), funcs)
-            supports = [float(loc) for f in funcs for loc in f.support_locations()]
-            for _ in range(20):
-                pts = []
-                while len(pts) < 6:
-                    t = rng.uniform(0.01 * hi, 0.99 * hi)
-                    if all(abs(t - s) > 0.02 for s in supports + pts):
-                        pts.append(t)
-                nodes = [ctx.num(t) for t in pts]
-                gram = [[ck.eval(a, b) for b in nodes] for a in nodes]
-                assert cholesky(ctx, gram) is not None, f"{name} Gram not PD"
+    for name, funcs in bc_pairs(ctx).items():
+        hi = 2.0 if name == "multipoint" else 1.0
+        ck = impose_sequence(GaussianKernel(1, ctx), funcs)
+        supports = [float(loc) for f in funcs for loc in f.support_locations()]
+        for _ in range(20):
+            pts = []
+            while len(pts) < 6:
+                t = rng.uniform(0.01 * hi, 0.99 * hi)
+                if all(abs(t - s) > 0.02 for s in supports + pts):
+                    pts.append(t)
+            nodes = [ctx.num(t) for t in pts]
+            gram = [[ck.eval(a, b) for b in nodes] for a in nodes]
+            assert cholesky(ctx, gram) is not None, f"{name} Gram not PD"
     elapsed = time.perf_counter() - start
     print(f"criterion 2: all Gram matrices PD, {elapsed:.2f}s")
     assert elapsed < 10.0
@@ -156,29 +155,28 @@ def test_criterion_04_homogenization_exactness():
     ctx = MP50
     rng = random.Random(4004)
     worst = 0.0
-    with ctx.workprec():
-        for ident in sorted(EXAMPLES):
-            problem = get_example(ident).make(ctx)
-            pairs = [
-                (
-                    (problem.bcs[d][0].functional, problem.data_for(d, 0)),
-                    (problem.bcs[d][1].functional, problem.data_for(d, 1)),
-                )
-                for d in range(problem.dim)
-            ]
-            m = homogenize_nd(pairs, ctx)
-            for d in range(problem.dim):
-                for side in (0, 1):
-                    functional = problem.bcs[d][side].functional
-                    data = problem.data_for(d, side)
-                    for _ in range(10):
-                        t = tuple(
-                            ctx.num(a + (b - a) * rng.random())
-                            for e, (a, b) in enumerate(problem.domain)
-                            if e != d
-                        )
-                        r = abs(apply_functional(functional, d, m, t) - data.value(t))
-                        worst = max(worst, float(r))
+    for ident in sorted(EXAMPLES):
+        problem = get_example(ident).make(ctx)
+        pairs = [
+            (
+                (problem.bcs[d][0].functional, problem.data_for(d, 0)),
+                (problem.bcs[d][1].functional, problem.data_for(d, 1)),
+            )
+            for d in range(problem.dim)
+        ]
+        m = homogenize_nd(pairs, ctx)
+        for d in range(problem.dim):
+            for side in (0, 1):
+                functional = problem.bcs[d][side].functional
+                data = problem.data_for(d, side)
+                for _ in range(10):
+                    t = tuple(
+                        ctx.num(a + (b - a) * rng.random())
+                        for e, (a, b) in enumerate(problem.domain)
+                        if e != d
+                    )
+                    r = abs(apply_functional(functional, d, m, t) - data.value(t))
+                    worst = max(worst, float(r))
     elapsed = time.perf_counter() - start
     print(f"criterion 4: worst data residual {worst:.3e}, {elapsed:.2f}s")
     assert worst <= 1e-10
@@ -358,10 +356,9 @@ def test_criterion_12_mode_equivalence(ident, counts, shape, eps):
                  estimate_conditioning=False)
     s_direct = solve(problem, counts, shape, ctx, mode="direct",
                      estimate_conditioning=False)
-    with ctx.workprec():
-        num = max(abs(a - b) for a, b in zip(s_ps.nodal, s_direct.nodal))
-        den = max(abs(a) for a in s_direct.nodal)
-        rel = float(num / den)
+    num = max(abs(a - b) for a, b in zip(s_ps.nodal, s_direct.nodal))
+    den = max(abs(a) for a in s_direct.nodal)
+    rel = float(num / den)
     tol = 1e-8 * 10.0 ** (16 - 100)
     print(f"criterion 12 [{ident}]: relative route difference {rel:.3e} vs {tol:.1e}")
     assert rel <= tol, (

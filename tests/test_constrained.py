@@ -176,55 +176,52 @@ def test_positive_definiteness_on_clean_points(bc_type):
     Cholesky in big-float arithmetic."""
     ctx = MP50
     rng = random.Random(hash(bc_type) % 10_000)
-    with ctx.workprec():
-        funcs = BC_PAIRS[bc_type](ctx)
-        ck = impose_sequence(GaussianKernel(1, ctx), funcs)
-        supports = [float(loc) for f in funcs for loc in f.support_locations()]
-        for _ in range(5):
-            pts = []
-            while len(pts) < 6:
-                t = rng.uniform(0.02, 0.98)
-                if all(abs(t - s) > 2e-2 for s in supports + pts):
-                    pts.append(t)
-            nodes = [ctx.num(t) for t in pts]
-            gram = [[ck.eval(a, b) for b in nodes] for a in nodes]
-            assert cholesky(ctx, gram) is not None
+    funcs = BC_PAIRS[bc_type](ctx)
+    ck = impose_sequence(GaussianKernel(1, ctx), funcs)
+    supports = [float(loc) for f in funcs for loc in f.support_locations()]
+    for _ in range(5):
+        pts = []
+        while len(pts) < 6:
+            t = rng.uniform(0.02, 0.98)
+            if all(abs(t - s) > 2e-2 for s in supports + pts):
+                pts.append(t)
+        nodes = [ctx.num(t) for t in pts]
+        gram = [[ck.eval(a, b) for b in nodes] for a in nodes]
+        assert cholesky(ctx, gram) is not None
 
 
 def test_operator_matrix_nonsingular_small_grids():
     """The collocation operator matrix factorizes for the benchmark-style
     operators on small grids (big-float)."""
     ctx = MP50
-    with ctx.workprec():
-        eps = ctx.num(2) ** -5
-        ck = impose_sequence(
-            GaussianKernel(1, ctx),
-            [make_robin(1, -eps, 0, 0, ctx), make_robin(1, 1, 1, 0, ctx)],
-        )
-        op = OperatorSpec(
-            (OperatorTerm((2,), eps), OperatorTerm((1,), lambda p: 1 / (1 + p[0])))
-        )
-        for n in (4, 6, 8):
-            grid = build_grid(((ctx.zero, ctx.one),), (n,), "uniform-interior", ctx)
-            a_l = build_operator_matrix(grid, [ck], op)
-            lu_factor(ctx, a_l)  # raises SingularMatrix on failure
+    eps = ctx.num(2) ** -5
+    ck = impose_sequence(
+        GaussianKernel(1, ctx),
+        [make_robin(1, -eps, 0, 0, ctx), make_robin(1, 1, 1, 0, ctx)],
+    )
+    op = OperatorSpec(
+        (OperatorTerm((2,), eps), OperatorTerm((1,), lambda p: 1 / (1 + p[0])))
+    )
+    for n in (4, 6, 8):
+        grid = build_grid(((ctx.zero, ctx.one),), (n,), "uniform-interior", ctx)
+        a_l = build_operator_matrix(grid, [ck], op)
+        lu_factor(ctx, a_l)  # raises SingularMatrix on failure
 
 
 def test_annihilation_mp_tolerance():
     """Big-float annihilation residuals stay below 10^(10-D)."""
     ctx = MP50
     rng = random.Random(41)
-    with ctx.workprec():
-        funcs = [
-            make_robin(1, -ctx.num("0.03125"), 0, 0, ctx),
-            make_robin(1, 1, 1, 0, ctx),
-        ]
-        ck = impose_sequence(GaussianKernel(1, ctx), funcs)
-        bound = mpmath.mpf(10) ** (10 - 50)
-        for _ in range(20):
-            y = ctx.num(rng.random())
-            for L in funcs:
-                assert abs(apply_to_function(L, slice_in_x(ck, y))) < bound
+    funcs = [
+        make_robin(1, -ctx.num("0.03125"), 0, 0, ctx),
+        make_robin(1, 1, 1, 0, ctx),
+    ]
+    ck = impose_sequence(GaussianKernel(1, ctx), funcs)
+    bound = mpmath.mpf(10) ** (10 - 50)
+    for _ in range(20):
+        y = ctx.num(rng.random())
+        for L in funcs:
+            assert abs(apply_to_function(L, slice_in_x(ck, y))) < bound
 
 
 def test_imposed_metadata():

@@ -197,7 +197,6 @@ def test_parse_errors():
 
 
 def test_mp_mode_constructors():
-    with MP40.workprec():
-        L = make_robin("1", "-0.03125", "0", "1", MP40)
-        t = apply_to_function(L, lambda x: x * x, lambda x: 2 * x)
-        assert abs(t - MP40.num(1)) == 1.0  # 0 - eps*0 = 0, rhs untouched
+    L = make_robin("1", "-0.03125", "0", "1", MP40)
+    t = apply_to_function(L, lambda x: x * x, lambda x: 2 * x)
+    assert abs(t - MP40.num(1)) == 1.0  # 0 - eps*0 = 0, rhs untouched

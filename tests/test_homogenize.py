@@ -14,16 +14,11 @@ from bcrbf.functionals import (
     make_neumann,
     make_robin,
 )
-from bcrbf.homogenize import (
-    HomogenizationMap,
-    homogenize_1d,
-    homogenize_2d_dirichlet,
-    homogenize_nd,
-)
+from bcrbf.homogenize import HomogenizationMap, homogenize_nd
 from bcrbf.fields import FieldTraceData, Fn1, LambdaField, fn_constant
 from bcrbf.numerics import FLOAT64, Precision
 
-from oracles import fd_mixed_partial_f64
+from oracles import fd_mixed_partial_f64, homogenize_1d, homogenize_2d_dirichlet
 
 MP50 = Precision("mp", 50)
 
@@ -116,18 +111,17 @@ def _bc_residuals(problem, m, ctx, samples=10, seed=3):
 def test_boundary_data_reproduced_for_benchmarks(ident):
     ctx = MP50
     record = get_example(ident)
-    with ctx.workprec():
-        problem = record.make(ctx)
-        pairs = [
-            (
-                (problem.bcs[d][0].functional, problem.data_for(d, 0)),
-                (problem.bcs[d][1].functional, problem.data_for(d, 1)),
-            )
-            for d in range(problem.dim)
-        ]
-        m = homogenize_nd(pairs, ctx)
-        worst = _bc_residuals(problem, m, ctx)
-        assert worst < mpmath.mpf(10) ** -40
+    problem = record.make(ctx)
+    pairs = [
+        (
+            (problem.bcs[d][0].functional, problem.data_for(d, 0)),
+            (problem.bcs[d][1].functional, problem.data_for(d, 1)),
+        )
+        for d in range(problem.dim)
+    ]
+    m = homogenize_nd(pairs, ctx)
+    worst = _bc_residuals(problem, m, ctx)
+    assert worst < mpmath.mpf(10) ** -40
 
 
 def test_nd_all_homogeneous_data_gives_zero_map():
@@ -150,54 +144,47 @@ def test_nd_all_homogeneous_data_gives_zero_map():
 def test_idempotence_residual_problem():
     ctx = MP50
     record = get_example("ex4")
-    with ctx.workprec():
-        problem = record.make(ctx)
-        pairs = [
-            (
-                (problem.bcs[d][0].functional, problem.data_for(d, 0)),
-                (problem.bcs[d][1].functional, problem.data_for(d, 1)),
-            )
-            for d in range(problem.dim)
-        ]
-        m = homogenize_nd(pairs, ctx)
-
-        from bcrbf.fields import BoundaryData
-
-        class ResidualData(BoundaryData):
-            arity = 1
-
-            def __init__(self, d, side):
-                self.functional = problem.bcs[d][side].functional
-                self.data = problem.data_for(d, side)
-                self.d = d
-
-            def value(self, tpoint=()):
-                return self.data.value(tpoint) - apply_functional(
-                    self.functional, self.d, m, tpoint
-                )
-
-            def partial(self, i, order, tpoint):
-                raise NotImplementedError
-
-            def partial_multi(self, orders, tpoint):
-                if any(orders):
-                    raise NotImplementedError
-                return self.value(tpoint)
-
-        pairs2 = [
-            (
-                (problem.bcs[d][0].functional, ResidualData(d, 0)),
-                (problem.bcs[d][1].functional, ResidualData(d, 1)),
-            )
-            for d in range(problem.dim)
-        ]
-        m2 = homogenize_nd(pairs2, ctx)
-        rng = random.Random(11)
-        worst = max(
-            abs(m2.value((ctx.num(rng.random()), ctx.num(rng.random()))))
-            for _ in range(25)
+    problem = record.make(ctx)
+    pairs = [
+        (
+            (problem.bcs[d][0].functional, problem.data_for(d, 0)),
+            (problem.bcs[d][1].functional, problem.data_for(d, 1)),
         )
-        assert worst < mpmath.mpf(10) ** -40
+        for d in range(problem.dim)
+    ]
+    m = homogenize_nd(pairs, ctx)
+
+    from bcrbf.fields import ScalarField
+
+    class ResidualData(ScalarField):
+        dim = 1
+
+        def __init__(self, d, side):
+            self.functional = problem.bcs[d][side].functional
+            self.data = problem.data_for(d, side)
+            self.d = d
+
+        def partial(self, orders, tpoint):
+            if any(orders):
+                raise NotImplementedError
+            return self.data.value(tpoint) - apply_functional(
+                self.functional, self.d, m, tpoint
+            )
+
+    pairs2 = [
+        (
+            (problem.bcs[d][0].functional, ResidualData(d, 0)),
+            (problem.bcs[d][1].functional, ResidualData(d, 1)),
+        )
+        for d in range(problem.dim)
+    ]
+    m2 = homogenize_nd(pairs2, ctx)
+    rng = random.Random(11)
+    worst = max(
+        abs(m2.value((ctx.num(rng.random()), ctx.num(rng.random()))))
+        for _ in range(25)
+    )
+    assert worst < mpmath.mpf(10) ** -40
 
 
 def test_map_smoothness_against_finite_differences():
@@ -252,16 +239,15 @@ def test_3d_neumann_robin_faces_of_nonseparable_field():
     """Derivative traces frozen through three sweeps: every face functional
     of the map equals its data, u = 1 / (2 + x + 2y + 3z) traced."""
     ctx = MP50
-    with ctx.workprec():
-        pairs = _nonseparable_pairs(ctx)
-        m = homogenize_nd(pairs, ctx)
-        rng = random.Random(12)
-        for d, pair in enumerate(pairs):
-            for functional, data in pair:
-                for _ in range(4):
-                    t = (ctx.num(rng.random()), ctx.num(rng.random()))
-                    r = apply_functional(functional, d, m, t) - data.value(t)
-                    assert abs(r) < mpmath.mpf(10) ** -40
+    pairs = _nonseparable_pairs(ctx)
+    m = homogenize_nd(pairs, ctx)
+    rng = random.Random(12)
+    for d, pair in enumerate(pairs):
+        for functional, data in pair:
+            for _ in range(4):
+                t = (ctx.num(rng.random()), ctx.num(rng.random()))
+                r = apply_functional(functional, d, m, t) - data.value(t)
+                assert abs(r) < mpmath.mpf(10) ** -40
 
 
 def _example_map(ident, ctx, eps=None):
@@ -287,7 +273,7 @@ def _term_by_term(m, orders, p, dps):
                 data, slots = trace
                 torders = tuple(orders[e] if f is None else f[0] for e, f in slots)
                 tpoint = tuple(p[e] if f is None else f[1] for e, f in slots)
-                g = mpmath.mpf(data.partial_multi(torders, tpoint))
+                g = mpmath.mpf(data.partial(torders, tpoint))
             for coeff, powers in monomials:
                 term = mpmath.mpf(coeff) * g
                 for k, o, x in zip(powers, orders, p):
@@ -316,31 +302,30 @@ def test_grid_evaluation_equals_pointwise(ident, mode):
     the terms' magnitudes.  The Neumann pair in x needs quadratics, so
     derivatives of x^2 are covered."""
     ctx = MP50 if mode == "mp" else FLOAT64
-    with ctx.workprec():
-        if ident == "nonseparable":
-            m = homogenize_nd(_nonseparable_pairs(ctx), ctx)
-            domain = ((0, 1),) * 3
-        elif ident == "neumann-pair":
-            x_faces = (make_neumann(0, 0, ctx), make_neumann(1, 0, ctx))
-            m = homogenize_nd(_nonseparable_pairs(ctx, x_faces), ctx)
-            domain = ((0, 1),) * 3
-        else:
-            m, domain = _example_map(ident, ctx, "0.5" if ident == "ex1" else None)
-        rng = random.Random(ident)
-        axes = [
-            tuple(ctx.num(a + (b - a) * rng.random()) for _ in range(n))
-            for (a, b), n in zip(domain, (4, 1, 3))
-        ]
-        points = list(itertools.product(*axes))
-        for orders in itertools.product(range(3), repeat=m.dim):
-            if sum(orders) > 2:
-                continue
-            grid = m.partial_axes(orders, axes)
-            assert len(grid) == len(points)
-            for v, p in zip(grid, points):
-                assert v == m.partial(orders, p)
-                ref, absum = _term_by_term(m, orders, p, ctx.digits + 30)
-                assert abs(v - ref) <= mpmath.mpf(10) ** (5 - ctx.digits) * absum
+    if ident == "nonseparable":
+        m = homogenize_nd(_nonseparable_pairs(ctx), ctx)
+        domain = ((0, 1),) * 3
+    elif ident == "neumann-pair":
+        x_faces = (make_neumann(0, 0, ctx), make_neumann(1, 0, ctx))
+        m = homogenize_nd(_nonseparable_pairs(ctx, x_faces), ctx)
+        domain = ((0, 1),) * 3
+    else:
+        m, domain = _example_map(ident, ctx, "0.5" if ident == "ex1" else None)
+    rng = random.Random(ident)
+    axes = [
+        tuple(ctx.num(a + (b - a) * rng.random()) for _ in range(n))
+        for (a, b), n in zip(domain, (4, 1, 3))
+    ]
+    points = list(itertools.product(*axes))
+    for orders in itertools.product(range(3), repeat=m.dim):
+        if sum(orders) > 2:
+            continue
+        grid = m.partial_axes(orders, axes)
+        assert len(grid) == len(points)
+        for v, p in zip(grid, points):
+            assert v == m.partial(orders, p)
+            ref, absum = _term_by_term(m, orders, p, ctx.digits + 30)
+            assert abs(v - ref) <= mpmath.mpf(10) ** (5 - ctx.digits) * absum
 
 
 def test_zero_map():

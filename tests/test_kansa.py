@@ -62,25 +62,23 @@ def test_kansa_bc_rows_hold_at_boundary_nodes():
     ctx = Precision("mp", 40)
     problem = _laplace_1d(ctx)
     sol = kansa_solve(problem, (6,), 1.0, ctx)
-    with ctx.workprec():
-        lam_scale = max(abs(v) for v in sol.lam)
-        tol = mpmath.mpf(10) ** (10 - 40) * max(lam_scale, 1)
-        assert abs(sol.evaluate((ctx.zero,)) - 0) < tol
-        assert abs(sol.evaluate((ctx.one,)) - 1) < tol
+    lam_scale = max(abs(v) for v in sol.lam)
+    tol = mpmath.mpf(10) ** (10 - 40) * max(lam_scale, 1)
+    assert abs(sol.evaluate((ctx.zero,)) - 0) < tol
+    assert abs(sol.evaluate((ctx.one,)) - 1) < tol
 
 
 def test_kansa_2d_bc_rows_and_interior_rows():
     ctx = Precision("mp", 40)
     record = get_example("ex4")
-    with ctx.workprec():
-        problem = record.make(ctx)
-        sol = kansa_solve(problem, (5, 5), 1.0, ctx)
-        # at a boundary collocation node the BC equation holds by construction
-        xb = (sol.grid.axes[0][0], sol.grid.axes[1][2])
-        data = problem.data_for(0, 0)
-        lam_scale = max(abs(v) for v in sol.lam)
-        tol = mpmath.mpf(10) ** (12 - 40) * max(lam_scale, 1)
-        assert abs(sol.evaluate(xb) - data.value((xb[1],))) < tol
+    problem = record.make(ctx)
+    sol = kansa_solve(problem, (5, 5), 1.0, ctx)
+    # at a boundary collocation node the BC equation holds by construction
+    xb = (sol.grid.axes[0][0], sol.grid.axes[1][2])
+    data = problem.data_for(0, 0)
+    lam_scale = max(abs(v) for v in sol.lam)
+    tol = mpmath.mpf(10) ** (12 - 40) * max(lam_scale, 1)
+    assert abs(sol.evaluate(xb) - data.value((xb[1],))) < tol
 
 
 def test_kansa_contrast_with_constrained_between_nodes():
@@ -88,37 +86,34 @@ def test_kansa_contrast_with_constrained_between_nodes():
     than the constrained method's."""
     ctx = Precision("mp", 60)
     record = get_example("ex4")
-    with ctx.workprec():
-        problem = record.make(ctx)
-        k_sol = kansa_solve(problem, (5, 5), ctx.num("0.01"), ctx)
-        c_sol = solve(problem, (5, 5), ctx.num("0.01"), ctx)
-        # midpoint of the x=0 edge between two boundary nodes
-        mid = (ctx.zero, (k_sol.grid.axes[1][0] + k_sol.grid.axes[1][1]) / 2)
-        data = problem.data_for(0, 0)
-        k_res = abs(k_sol.evaluate(mid) - data.value((mid[1],)))
-        c_res = abs(c_sol.evaluate(mid) - data.value((mid[1],)))
-        assert k_res > 10 * c_res
+    problem = record.make(ctx)
+    k_sol = kansa_solve(problem, (5, 5), ctx.num("0.01"), ctx)
+    c_sol = solve(problem, (5, 5), ctx.num("0.01"), ctx)
+    # midpoint of the x=0 edge between two boundary nodes
+    mid = (ctx.zero, (k_sol.grid.axes[1][0] + k_sol.grid.axes[1][1]) / 2)
+    data = problem.data_for(0, 0)
+    k_res = abs(k_sol.evaluate(mid) - data.value((mid[1],)))
+    c_res = abs(c_sol.evaluate(mid) - data.value((mid[1],)))
+    assert k_res > 10 * c_res
 
 
 def test_kansa_ex4_table_level():
     ctx = Precision("mp", 100)
     record = get_example("ex4")
-    with ctx.workprec():
-        problem = record.make(ctx)
-        sol = kansa_solve(problem, (5, 5), ctx.num("0.01"), ctx)
-        err, _ = error_metrics(sol, problem.exact, ctx)
-        assert float(err) < 1e-3  # published value 1.56591e-4
+    problem = record.make(ctx)
+    sol = kansa_solve(problem, (5, 5), ctx.num("0.01"), ctx)
+    err, _ = error_metrics(sol, problem.exact, ctx)
+    assert float(err) < 1e-3  # published value 1.56591e-4
 
 
 @pytest.mark.slow
 def test_kansa_ex7_table_level():
     ctx = Precision("mp", 100)
     record = get_example("ex7")
-    with ctx.workprec():
-        problem = record.make(ctx)
-        sol = kansa_solve(problem, (4, 4, 4), ctx.num("0.01"), ctx)
-        err, _ = error_metrics(sol, problem.exact, ctx)
-        assert float(err) < 1e-3  # published value 3.8223e-5
+    problem = record.make(ctx)
+    sol = kansa_solve(problem, (4, 4, 4), ctx.num("0.01"), ctx)
+    err, _ = error_metrics(sol, problem.exact, ctx)
+    assert float(err) < 1e-3  # published value 3.8223e-5
 
 
 def test_kansa_validates_counts():

@@ -99,19 +99,19 @@ def test_finite_difference_agreement_float64():
 def test_finite_difference_agreement_mp():
     ctx = Precision("mp", 50)
     rng = random.Random(56)
-    with ctx.workprec():
-        for _ in range(40):
-            c = ctx.num(rng.uniform(0.3, 2.0))
-            k = GaussianKernel(c, ctx)
-            x = ctx.num(rng.uniform(-2, 2))
-            y = ctx.num(rng.uniform(-2, 2))
-            m = rng.randint(0, 4)
-            n = rng.randint(0, 4 - m)
-            got = k.mixed_partial(m, n, x, y)
-            fresh = GaussianKernel(c, ctx)  # oracle evaluates at guard digits
-            ref = fd_mixed_partial_mp(fresh.eval, m, n, x, y)
-            tol = mpmath.mpf(10) ** -10 * max(abs(got), c ** (m + n), mpmath.mpf("1e-2"))
-            assert abs(got - ref) <= tol
+    for _ in range(40):
+        c = ctx.num(rng.uniform(0.3, 2.0))
+        k = GaussianKernel(c, ctx)
+        x = ctx.num(rng.uniform(-2, 2))
+        y = ctx.num(rng.uniform(-2, 2))
+        m = rng.randint(0, 4)
+        n = rng.randint(0, 4 - m)
+        got = k.mixed_partial(m, n, x, y)
+        guarded = ctx.digits + 60  # the oracle evaluates at guard digits
+        fresh = GaussianKernel(c, ctx.with_digits(guarded))
+        ref = fd_mixed_partial_mp(fresh.eval, m, n, x, y, guarded)
+        tol = mpmath.mpf(10) ** -10 * max(abs(got), c ** (m + n), mpmath.mpf("1e-2"))
+        assert abs(got - ref) <= tol
 
 
 def test_float64_context_by_default():

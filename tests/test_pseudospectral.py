@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 
 import mpmath
 import pytest
@@ -24,12 +26,10 @@ from bcrbf.pseudospectral import (
     build_grid as _bg,
     laplacian,
     operational_matrix,
-    product_kernel_eval,
-    product_kernel_partial,
     solve,
 )
 
-from oracles import fd_mixed_partial_f64
+from oracles import fd_mixed_partial_f64, product_kernel_eval, product_kernel_partial
 
 MP40 = Precision("mp", 40)
 
@@ -184,25 +184,24 @@ def test_operational_matrix_identity_and_scalar():
 
 def test_operational_matrix_residual_mp():
     ctx = Precision("mp", 60)
-    with ctx.workprec():
-        eps = ctx.num(2) ** -5
-        ck = impose_sequence(
-            GaussianKernel(ctx.num("0.5"), ctx),
-            [make_robin(1, -eps, 0, 0, ctx), make_robin(1, 1, 1, 0, ctx)],
-        )
-        op = OperatorSpec(
-            (OperatorTerm((2,), eps), OperatorTerm((1,), lambda p: 1 / (1 + p[0])))
-        )
-        g = build_grid(((ctx.zero, ctx.one),), (16,), "uniform-interior", ctx)
-        a = build_evaluation_matrix(g, [ck])
-        al = build_operator_matrix(g, [ck], op)
-        lmat = operational_matrix(lu_factor(ctx, a), al)
-        from bcrbf.numerics import mat_mul
+    eps = ctx.num(2) ** -5
+    ck = impose_sequence(
+        GaussianKernel(ctx.num("0.5"), ctx),
+        [make_robin(1, -eps, 0, 0, ctx), make_robin(1, 1, 1, 0, ctx)],
+    )
+    op = OperatorSpec(
+        (OperatorTerm((2,), eps), OperatorTerm((1,), lambda p: 1 / (1 + p[0])))
+    )
+    g = build_grid(((ctx.zero, ctx.one),), (16,), "uniform-interior", ctx)
+    a = build_evaluation_matrix(g, [ck])
+    al = build_operator_matrix(g, [ck], op)
+    lmat = operational_matrix(lu_factor(ctx, a), al)
+    from oracles import mat_mul
 
-        resid = mat_mul(lmat, a)
-        n = 16
-        err = max(abs(resid[i][j] - al[i][j]) for i in range(n) for j in range(n))
-        assert err <= 10.0 ** (12 - 60) * float(norm_inf(al))
+    resid = mat_mul(lmat, a)
+    n = 16
+    err = max(abs(resid[i][j] - al[i][j]) for i in range(n) for j in range(n))
+    assert err <= 10.0 ** (12 - 60) * float(norm_inf(al))
 
 
 def _trivial_problem(ctx):
@@ -222,30 +221,27 @@ def _trivial_problem(ctx):
 def test_solve_trivial_laplace():
     ctx = MP40
     sol = solve(_trivial_problem(ctx), (5,), 1.0, ctx)
-    with ctx.workprec():
-        got = sol.evaluate((ctx.num("0.5"),))
-        assert abs(got - ctx.num("0.5")) < mpmath.mpf(10) ** -30
+    got = sol.evaluate((ctx.num("0.5"),))
+    assert abs(got - ctx.num("0.5")) < mpmath.mpf(10) ** -30
 
 
 def test_solution_reproduces_nodal_values():
     ctx = MP40
     sol = solve(_trivial_problem(ctx), (5,), 1.0, ctx)
-    with ctx.workprec():
-        for p, nodal in zip(sol.grid.points(), sol.nodal):
-            assert abs(sol.evaluate(p) - nodal) < mpmath.mpf(10) ** (12 - 40)
+    for p, nodal in zip(sol.grid.points(), sol.nodal):
+        assert abs(sol.evaluate(p) - nodal) < mpmath.mpf(10) ** (12 - 40)
 
 
 def test_boundary_evaluation_equals_homogenization_map():
     # Dirichlet basis functions vanish at the boundary, so u_N there is M
     ctx = MP40
     sol = solve(_trivial_problem(ctx), (5,), 1.0, ctx)
-    with ctx.workprec():
-        left = sol.evaluate((ctx.zero,))
-        right = sol.evaluate((ctx.one,))
-        assert abs(left - sol.hom.value((ctx.zero,))) < mpmath.mpf(10) ** -35
-        assert abs(right - sol.hom.value((ctx.one,))) < mpmath.mpf(10) ** -35
-        assert abs(left) < mpmath.mpf(10) ** -35
-        assert abs(right - 1) < mpmath.mpf(10) ** -35
+    left = sol.evaluate((ctx.zero,))
+    right = sol.evaluate((ctx.one,))
+    assert abs(left - sol.hom.value((ctx.zero,))) < mpmath.mpf(10) ** -35
+    assert abs(right - sol.hom.value((ctx.one,))) < mpmath.mpf(10) ** -35
+    assert abs(left) < mpmath.mpf(10) ** -35
+    assert abs(right - 1) < mpmath.mpf(10) ** -35
 
 
 def test_solution_bc_exactness_robin():
@@ -267,41 +263,114 @@ def test_solution_bc_exactness_robin():
         rhs=lambda p: p[0] + 1,
     )
     sol = solve(problem, (12,), 0.8, ctx)
-    with ctx.workprec():
-        # the residual floor scales with the coefficient magnitudes the
-        # ill-conditioned solve produces
-        lam_scale = max(abs(v) for v in sol.lam)
-        tol = mpmath.mpf(10) ** (10 - 60) * max(lam_scale, 1)
-        for d in range(1):
-            for side in (0, 1):
-                r = sol.boundary_residual(d, side, problem)
-                assert abs(r) < tol
+    # the residual floor scales with the coefficient magnitudes the
+    # ill-conditioned solve produces
+    lam_scale = max(abs(v) for v in sol.lam)
+    tol = mpmath.mpf(10) ** (10 - 60) * max(lam_scale, 1)
+    for d in range(1):
+        for side in (0, 1):
+            r = sol.boundary_residual(d, side, problem)
+            assert abs(r) < tol
+
+
+def _robin_problem(ctx):
+    """The Robin problem of test_solution_bc_exactness_robin."""
+    eps = 0.5
+    return ProblemSpec(
+        domain=((ctx.zero, ctx.one),),
+        operator=OperatorSpec(
+            (OperatorTerm((2,), ctx.num(eps)), OperatorTerm((1,), lambda p: 1 / (1 + p[0])))
+        ),
+        bcs=(
+            (
+                BoundaryCondition(make_robin(1, -eps, 0, 1, ctx)),
+                BoundaryCondition(make_robin(1, 1, 1, 1, ctx)),
+            ),
+        ),
+        rhs=lambda p: p[0] + 1,
+    )
+
+
+def test_boundary_residual_computes_at_the_solution_digits():
+    """boundary_residual, called with no precision set anywhere, forms the
+    functional at the solution's 60 digits: it matches the same functional
+    formed at 90 digits from the solution's partials."""
+    ctx = Precision("mp", 60)
+    problem = _robin_problem(ctx)
+    sol = solve(problem, (12,), 0.8, ctx)
+    got = sol.boundary_residual(0, 0, problem)
+    mp90 = mpmath.MPContext()
+    mp90.dps = 90
+    terms = [
+        mp90.mpf(t.coeff) * mp90.mpf(sol.partial((t.order,), (t.location,)))
+        for t in problem.bcs[0][0].functional.terms
+    ]
+    data = mp90.mpf(problem.data_for(0, 0).value(()))
+    ref = mp90.fsum(terms) - data
+    scale = mp90.fsum(abs(v) for v in terms) + abs(data)
+    assert abs(mp90.mpf(got) - ref) <= mp90.mpf(10) ** (10 - 60) * scale
+
+
+def test_concurrent_threads_match_serial():
+    """Solves at 60, 100 and again 60 digits, run at once in three threads
+    (two sharing one precision), give the coefficients of the same solves
+    run one after the other."""
+    cases = (
+        ("ex4", (5, 5), "mp:60", None),
+        ("ex1", (16,), "mp:100", "0.5"),
+        ("ex5", (5, 5), "mp:60", None),
+    )
+
+    def run(ident, counts, spec, eps):
+        record = get_example(ident)
+        ctx = Precision.parse(spec)
+        problem = record.make(ctx, eps)
+        sol = solve(problem, counts, record.default_shape, ctx)
+        return [v._mpf_ for v in sol.lam]
+
+    serial = [run(*case) for case in cases]
+    results = [None] * len(cases)
+
+    def worker(i):
+        results[i] = run(*cases[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == serial
 
 
 def test_span_reproduction():
     """If the exact solution is one constrained basis function plus M, the
     solver recovers it to near working precision."""
     ctx = Precision("mp", 50)
-    with ctx.workprec():
-        problem = _trivial_problem(ctx)
-        sol = solve(problem, (5,), 1.0, ctx)
-        ck = sol.kernels[0]
-        star = sol.grid.axes[0][2]
-        hom = sol.hom
+    problem = _trivial_problem(ctx)
+    sol = solve(problem, (5,), 1.0, ctx)
+    ck = sol.kernels[0]
+    star = sol.grid.axes[0][2]
+    hom = sol.hom
 
-        rhs = lambda p: ck.mixed_partial(2, 0, p[0], star) + hom.partial((2,), p)
-        target = ProblemSpec(
-            domain=problem.domain,
-            operator=problem.operator,
-            bcs=problem.bcs,
-            rhs=rhs,
-        )
-        sol2 = solve(target, (5,), 1.0, ctx)
-        rng = random.Random(23)
-        for _ in range(10):
-            x = ctx.num(rng.random())
-            expect = ck.eval(x, star) + hom.value((x,))
-            assert abs(sol2.evaluate((x,)) - expect) < mpmath.mpf(10) ** -35
+    rhs = lambda p: ck.mixed_partial(2, 0, p[0], star) + hom.partial((2,), p)
+    target = ProblemSpec(
+        domain=problem.domain,
+        operator=problem.operator,
+        bcs=problem.bcs,
+        rhs=rhs,
+    )
+    sol2 = solve(target, (5,), 1.0, ctx)
+    rng = random.Random(23)
+    for _ in range(10):
+        x = ctx.num(rng.random())
+        expect = ck.eval(x, star) + hom.value((x,))
+        assert abs(sol2.evaluate((x,)) - expect) < mpmath.mpf(10) ** -35
 
 
 @pytest.mark.parametrize(
@@ -324,13 +393,12 @@ def test_evaluate_axes_equals_pointwise_evaluate(ident, counts, method):
     else:
         sol = kansa_solve(problem, counts, 1.0, ctx)
     rng = random.Random(31)
-    with ctx.workprec():
-        axes = [
-            sorted([a, b] + [a + (b - a) * ctx.num(rng.random()) for _ in range(3)])
-            for a, b in problem.domain
-        ]
-        got = sol.evaluate_axes(axes)
-        assert got == [sol.evaluate(p) for p in itertools.product(*axes)]
+    axes = [
+        sorted([a, b] + [a + (b - a) * ctx.num(rng.random()) for _ in range(3)])
+        for a, b in problem.domain
+    ]
+    got = sol.evaluate_axes(axes)
+    assert got == [sol.evaluate(p) for p in itertools.product(*axes)]
 
 
 def test_solution_partials_match_finite_differences():
@@ -354,10 +422,9 @@ def test_mode_equivalence_well_conditioned():
     problem = _trivial_problem(ctx)
     s_ps = solve(problem, (6,), 1.0, ctx, mode="ps")
     s_direct = solve(problem, (6,), 1.0, ctx, mode="direct")
-    with ctx.workprec():
-        diff = max(abs(a - b) for a, b in zip(s_ps.nodal, s_direct.nodal))
-        scale = max(abs(a) for a in s_direct.nodal)
-        assert diff <= mpmath.mpf(10) ** (8 - 40) * scale
+    diff = max(abs(a - b) for a, b in zip(s_ps.nodal, s_direct.nodal))
+    scale = max(abs(a) for a in s_direct.nodal)
+    assert diff <= mpmath.mpf(10) ** (8 - 40) * scale
 
 
 def test_solve_validates_arguments():

@@ -10,6 +10,7 @@ from bcrbf.reporting import (
     CSV_COLUMNS,
     RunReport,
     emit,
+    evaluation_axes,
     grid_label,
     parse_counts,
     run_example,
@@ -70,6 +71,14 @@ def test_markdown_round_trips_csv_numbers():
     md_lines = emit(reps, "markdown").strip().split("\n")[2:]
     md_rows = [[c.strip() for c in line.strip("|").split("|")] for line in md_lines]
     assert csv_rows == md_rows
+
+
+def test_evaluation_axes_at_the_context_digits():
+    """The error-metric grid is built at the precision's digits, with no
+    precision set anywhere: at mp:150 point 7 of [0, 1] is 7/200."""
+    ctx = Precision("mp", 150)
+    (axis,) = evaluation_axes(((0, 1),), ctx)
+    assert axis[7] == ctx.num("0.035")
 
 
 def test_run_example_fills_report():
