@@ -17,7 +17,6 @@ from .errors import (
     InvalidFunctional,
     NodeCollision,
     NoHomogenizer,
-    NotSymmetric,
     SingularMatrix,
     UnsupportedOrder,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "InvalidFunctional",
     "NoHomogenizer",
     "NodeCollision",
-    "NotSymmetric",
     "OperatorSpec",
     "OperatorTerm",
     "Precision",

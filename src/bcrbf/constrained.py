@@ -9,10 +9,18 @@ satisfies L R1 = 0 in either slot, exactly, for every value of the other
 variable.  Imposing a second functional on R1 the same way preserves the
 first annihilation, so a sequence of impositions yields a kernel that
 satisfies all its boundary functionals at once.  Corrections are stored,
-never expanded symbolically: evaluation costs O(1 + #corrections) per
-point, and every correction trace carries analytic derivative access
-(differentiating the underlying kernel's mixed partials, never numeric
-differentiation).
+never expanded symbolically, and every correction trace carries analytic
+derivative access (differentiating the underlying kernel's mixed
+partials, never numeric differentiation).
+
+Entry by entry (``mixed_partial``) a kernel costs one base-kernel entry
+plus one product per correction.  Over points xs and nodes y_j
+(``partial_matrix``) it is the base kernel's matrix minus the low-rank
+part Phi diag(gamma)^-1 Psi^T, Phi[x][k] = d^m phi_k(x) and
+Psi[j][k] = psi_k(y_j), kept as those factors (``numerics.
+CorrectedMatrix``): the corrections cost O(#points + #nodes) trace
+values, and are applied to the coefficients of an expansion instead of
+to every entry.
 
 A ConstrainedKernel is immutable after construction and computes at the
 digits of its base kernel's ``Precision``, in any thread (see
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 from .errors import DegenerateConstraint
 from .functionals import apply_to_kernel_slot, bilinear
+from .numerics import CorrectedMatrix
 
 
 class RankOneCorrection:
@@ -60,6 +69,19 @@ class ConstrainedKernel:
         for corr in self.corrections:
             val -= corr.phi.deriv(x, m) * corr.psi.deriv(y, n) / corr.gamma
         return val
+
+    def partial_matrix(self, m, xs, nodes, uniform):
+        """d^m/dx^m of the kernel over xs x nodes: the base kernel's rows
+        beside the correction traces d^m phi_k(x), with psi_k at the nodes
+        and the denominators, as a CorrectedMatrix."""
+        rows = self.base.partial_matrix(m, xs, nodes, uniform)
+        corrs = self.corrections
+        return CorrectedMatrix(
+            self.ctx,
+            [row + [c.phi.deriv(x, m) for c in corrs] for row, x in zip(rows, xs)],
+            [[c.psi.deriv(y, 0) for y in nodes] for c in corrs],
+            [c.gamma for c in corrs],
+        )
 
     def __repr__(self):
         names = ",".join(f.kind for f in self.imposed)

@@ -18,10 +18,6 @@ class SingularMatrix(BcrbfError):
         self.cond_estimate = cond_estimate
 
 
-class NotSymmetric(BcrbfError):
-    """Cholesky input deviates from symmetry beyond tolerance."""
-
-
 class UnsupportedOrder(BcrbfError):
     """A derivative order beyond the kernel's supported total order."""
 

@@ -53,6 +53,7 @@ def kansa_solve(problem, counts, shape, ctx, estimate_conditioning=True):
     grid = Grid(
         tuple(tuple(ctx.num(v) for v in ab) for ab in problem.domain),
         tuple(axes),
+        "uniform-inclusive",
     )
     kernels = [GaussianKernel(shape, ctx) for _ in range(dim)]
     tables = _all_tables(kernels, grid, problem.operator)

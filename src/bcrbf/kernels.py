@@ -1,10 +1,17 @@
 """Base kernels with closed-form mixed partial derivatives.
 
 The Gaussian kernel here uses the convention exp(-c^2 (x-y)^2): the shape
-parameter multiplies the distance, matching the RBF-PS literature.  Any
-object exposing ``eval(x, y)`` and ``mixed_partial(m, n, x, y)`` works as a
-kernel handle downstream.  A kernel computes at the digits of its
-``Precision`` and may be shared between threads (see ``numerics``).
+parameter multiplies the distance, matching the RBF-PS literature.
+
+A kernel handle downstream is any object with ``eval(x, y)``,
+``mixed_partial(m, n, x, y)`` and ``partial_matrix(m, xs, nodes,
+uniform)``.  Assembly and boundary functionals use the first two, entry
+by entry.  Evaluating a solution uses only the third: the matrix of
+d^m/dx^m R(x, y) over points xs and one axis's nodes, as a list of rows or
+as a ``numerics.CorrectedMatrix`` for a constrained kernel.  ``uniform``
+says that the nodes are equally spaced, as the grid builders know.  A
+kernel computes at the digits of its ``Precision`` and may be shared
+between threads (see ``numerics``).
 """
 
 from __future__ import annotations
@@ -29,6 +36,14 @@ def hermite(p, s, one):
     return h
 
 
+def _check_orders(m, n):
+    if m < 0 or n < 0 or m + n > MAX_TOTAL_ORDER:
+        raise UnsupportedOrder(
+            f"Gaussian kernel supports total derivative order <= "
+            f"{MAX_TOTAL_ORDER}, got ({m}, {n})"
+        )
+
+
 class GaussianKernel:
     """R(x, y) = exp(-c^2 (x - y)^2), c > 0.
 
@@ -48,6 +63,7 @@ class GaussianKernel:
         self.c = shape
         self.ctx = ctx
         self._expcache = {}
+        self._ratios = {}
 
     def _gauss(self, delta):
         """exp(-(c*delta)^2), memoized per offset.
@@ -62,23 +78,75 @@ class GaussianKernel:
             self._expcache[delta] = e
         return e
 
-    def eval(self, x, y):
-        return self._gauss(x - y)
-
-    def mixed_partial(self, m, n, x, y):
-        if m < 0 or n < 0 or m + n > MAX_TOTAL_ORDER:
-            raise UnsupportedOrder(
-                f"Gaussian kernel supports total derivative order <= "
-                f"{MAX_TOTAL_ORDER}, got ({m}, {n})"
-            )
-        delta = x - y
-        e = self._gauss(delta)
+    def _scaled(self, m, n, delta, e):
+        """d^m/dx^m d^n/dy^n R at offset delta, from e = R there."""
         p = m + n
         if p == 0:
             return e
         c = self.c
         val = hermite(p, c * delta, self.ctx.one) * c**p * e
         return -val if m % 2 else val
+
+    def eval(self, x, y):
+        return self._gauss(x - y)
+
+    def mixed_partial(self, m, n, x, y):
+        _check_orders(m, n)
+        delta = x - y
+        return self._scaled(m, n, delta, self._gauss(delta))
+
+    def partial_matrix(self, m, xs, nodes, uniform):
+        """Rows [d^m/dx^m R(x, y) for y in nodes] for x in xs.
+
+        On equally spaced nodes in mp, the Gaussians of a row come from
+        ``_uniform_rows``: two exps per row instead of one per entry.
+        Otherwise every entry is exactly ``mixed_partial(m, 0, x, y)``.
+        """
+        _check_orders(m, 0)
+        if uniform and self.ctx.mode == "mp":
+            gauss = self._uniform_rows(xs, nodes)
+        else:
+            gauss = [[self._gauss(x - y) for y in nodes] for x in xs]
+        if m == 0:
+            return gauss
+        return [
+            [self._scaled(m, 0, x - y, e) for y, e in zip(nodes, row)]
+            for x, row in zip(xs, gauss)
+        ]
+
+    def _uniform_rows(self, xs, nodes):
+        """[exp(-c^2 (x - y_j)^2) for y_j in nodes] for x in xs, for nodes
+        y_j = y_0 + j h, by the two-term recurrence
+
+            g_{j+1} = g_j r_j,  r_{j+1} = r_j q,  q = exp(-2 c^2 h^2),
+
+        from g_0 = exp(-c^2 (x - y_0)^2) and r_0 = exp(c^2 h (2 (x - y_0) - h)).
+        The j-th entry carries about j^2 / 2 roundings, so the recurrence
+        runs with digits to spare for n^2 of them and each entry is then
+        rounded to the kernel's digits: within a unit in the last place
+        of exp.  q is computed once per node spacing.
+        """
+        ctx, n = self.ctx, len(nodes)
+        digits = ctx.digits + 5 + 2 * len(str(n))
+        work = ctx.with_digits(digits).mp
+        y0 = work.convert(nodes[0])
+        h = (work.convert(nodes[-1]) - y0) / (n - 1)
+        c2 = work.convert(self.c) ** 2
+        q = self._ratios.get((digits, h))
+        if q is None:
+            q = self._ratios.setdefault((digits, h), work.exp(-2 * c2 * h * h))
+        rows = []
+        for x in xs:
+            t = work.convert(x) - y0
+            g = work.exp(-c2 * t * t)
+            r = work.exp(c2 * h * (2 * t - h))
+            row = []
+            for _ in range(n):
+                row.append(ctx.num(g))
+                g *= r
+                r *= q
+            rows.append(row)
+        return rows
 
     def __repr__(self):
         return f"GaussianKernel(c={float(self.c)!r}, {self.ctx!r})"

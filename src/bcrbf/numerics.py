@@ -12,11 +12,12 @@ them rounds at its digits wherever it runs, with no precision block, and
 mpmath's process-wide precision is neither read nor set.  Where numbers of
 two contexts meet, an operation rounds at the context of its left operand
 (or of the mpmath function called), so code that mixes digit counts
-converts on entry.  The one place where mp digit counts differ inside a
-computation is ``refine``: to make a D-digit answer accurate to D digits
-it factors at D plus guard digits and carries residuals and the refined
-solution at more digits still, then the caller rounds the result back to
-D.
+converts on entry.  mp digit counts differ inside a computation where a
+D-digit answer needs wider intermediates: ``refine`` factors at D plus
+guard digits and carries residuals and the refined solution at more
+digits still, then the caller rounds the result back to D; a
+``CorrectedMatrix`` carries its correction coefficients at D + 10 digits,
+and ``kernels.GaussianKernel`` runs its row recurrence with guard digits.
 
 Matrices are row-major lists of lists of scalars of one mode.  Contexts
 are never changed after they are made, so computations may run in
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .errors import NotSymmetric, SingularMatrix
+from .errors import SingularMatrix
 
 _CONTEXTS = {}
 
@@ -229,16 +230,73 @@ def dot(ctx, us, vs):
     return sum(u * v for u, v in zip(us, vs))
 
 
+class CorrectedMatrix:
+    """The m x n matrix B - P diag(gamma)^-1 Q^T, B minus r rank-one
+    corrections, kept as its factors: ``rows`` are the m rows of [B | P]
+    (n + r entries each), ``right`` the r rows of Q^T and ``gammas`` the
+    r denominators, all at the digits of ``ctx``.
+
+    ``extend(x)`` appends to a length-n vector x the r coefficients
+    c_k = -(Q^T x)_k / gamma_k, so that row i of [B | P] dotted with
+    ``extend(x)`` is entry i of the matrix times x.  P c cancels against
+    B x, by as many digits as x is larger than the product.  P_ik at D
+    digits already puts an error of up to 10^-D |P_ik c_k| into entry i,
+    so each c_k is one exact dot rounded at D + 10 digits: its own
+    rounding stays ten digits below that, whatever the cancellation.  The
+    coefficients are taken exactly into ``ctx``, once per vector.  float64
+    has no wider format: there they are float64 sums.
+    """
+
+    __slots__ = ("ctx", "rows", "right", "gammas", "work")
+
+    def __init__(self, ctx, rows, right, gammas):
+        self.ctx = ctx
+        self.rows = rows
+        self.right = right
+        self.gammas = gammas
+        self.work = ctx.with_digits(ctx.digits + _WORK_GUARD)
+
+    def extend(self, x):
+        work = self.work
+        coeffs = [-(dot(work, q, x) / g) for q, g in zip(self.right, self.gammas)]
+        if self.ctx.mode == "mp":
+            coeffs = _exactly(self.ctx, coeffs)
+        return [*x, *coeffs]
+
+    def dense(self):
+        """The matrix entry by entry, B_ij - P_ik Q_kj / gamma_k for each k
+        in turn, rounded at each step as ``ConstrainedKernel.mixed_partial``
+        rounds."""
+        n = len(self.right[0])
+        out = []
+        for row in self.rows:
+            entries = row[:n]
+            for p, q, g in zip(row[n:], self.right, self.gammas):
+                entries = [v - p * qj / g for v, qj in zip(entries, q)]
+            out.append(entries)
+        return out
+
+
 def mode_products(ctx, vals, shape, mats):
     """The n_0 x ... x n_{d-1} array ``vals`` (flat, last axis fastest)
-    multiplied along each axis e by ``mats[e]``, an m_e x n_e matrix, or
-    left as it is where ``mats[e]`` is None (mode products; Van Loan,
-    J. Comput. Appl. Math. 123, 2000).  Returns the m_0 x ... x m_{d-1}
-    array in flat order.
+    multiplied along each axis e by ``mats[e]``, an m_e x n_e matrix given
+    as a list of rows or as a CorrectedMatrix, or left as it is where
+    ``mats[e]`` is None (mode products; Van Loan, J. Comput. Appl. Math.
+    123, 2000).  Returns the m_0 x ... x m_{d-1} array in flat order.
+
+    A CorrectedMatrix is applied by its factors when its axis has fewer
+    nodes in the other axes together than in its own, as in 1D: each fiber
+    of the array along axis e is extended by its correction coefficients
+    once, and each output entry is then one dot of a row of [B | P] with
+    the extended fiber, rounded once at the digits of ``ctx``.  Otherwise a
+    grid of about as many points as nodes has more fibers along the axis
+    than nodes, and forming its m_e x n_e entries once (``dense``) costs
+    less than widening every dot by r.  The choice depends on ``shape``
+    alone, never on the number of points.
 
     Each output entry is formed by one ``dot`` per contracted axis from its
-    own rows of the matrices only, so contracting with fewer rows, down to
-    1-row matrices for a single point, gives the same bits.
+    own rows of the matrices and the fibers only, so contracting with fewer
+    rows, down to 1-row matrices for a single point, gives the same bits.
     """
     outer, inner = 1, len(vals)
     for n, mat in zip(shape, mats):
@@ -246,10 +304,18 @@ def mode_products(ctx, vals, shape, mats):
         if mat is None:
             outer *= n
             continue
+        extend = None
+        if isinstance(mat, CorrectedMatrix):
+            if math.prod(shape) >= n * n:
+                mat = mat.dense()
+            else:
+                mat, extend = mat.rows, mat.extend
         out = []
         for o in range(outer):
             block = vals[o * n * inner:(o + 1) * n * inner]
             cols = [block[r::inner] for r in range(inner)]
+            if extend is not None:
+                cols = [extend(col) for col in cols]
             for row in mat:
                 out.extend(dot(ctx, row, col) for col in cols)
         vals = out
@@ -548,44 +614,3 @@ def _refine_attempt(ctx, a, b, solver, fdigits, image, shift):
     else:
         effective = max(0, min(digits, int(-mp.log10(err / scale))))
     return Refinement(x, y, solver, fdigits, work, steps, effective)
-
-
-# -- Cholesky ----------------------------------------------------------------
-
-
-def cholesky(ctx, a):
-    """Lower-triangular G with G*G^T ~= A, or None when A is not numerically
-    positive definite (a flag, not an exception: callers use this as a PD
-    test).  Raises NotSymmetric when A deviates from symmetry beyond
-    tolerance."""
-    n = len(a)
-    if n == 0 or any(len(row) != n for row in a):
-        raise ValueError("cholesky requires a nonempty square matrix")
-    check_finite(a, "cholesky input")
-    scale = max_abs(a)
-    tol_sym = ctx.tol(5) * max(1.0, scale)
-    asym = max(
-        abs(a[i][j] - a[j][i]) for i in range(n) for j in range(i + 1, n)
-    ) if n > 1 else 0.0
-    if asym > tol_sym:
-        raise NotSymmetric(f"asymmetry {float(asym):.3e} exceeds {float(tol_sym):.3e}")
-    # fail when a diagonal residual dips below minus a noise-level margin
-    tol_pivot = ctx.tol(2) * max(1.0, float(scale))
-    g = zeros(ctx, n, n)
-    for j in range(n):
-        d = a[j][j]
-        for k in range(j):
-            d -= g[j][k] * g[j][k]
-        if d <= -tol_pivot:
-            return None
-        if d <= 0:
-            # numerically semidefinite: zero pivot, zero column
-            continue
-        gjj = ctx.sqrt(d)
-        g[j][j] = gjj
-        for i in range(j + 1, n):
-            s = a[i][j]
-            for k in range(j):
-                s -= g[i][k] * g[j][k]
-            g[i][j] = s / gjj
-    return g

@@ -149,10 +149,17 @@ class ProblemSpec:
 # -- grids ----------------------------------------------------------------------
 
 
+_UNIFORM_SCHEMES = ("uniform-interior", "uniform-inclusive")
+
+
 @dataclass(frozen=True)
 class Grid:
+    """Tensor grid of nodes.  ``scheme`` names how the axes were built;
+    the uniform schemes space every axis's nodes equally."""
+
     domain: tuple
     axes: tuple
+    scheme: str = None
     counts: tuple = field(init=False, default=None)
 
     def __post_init__(self):
@@ -161,6 +168,10 @@ class Grid:
     @property
     def dim(self):
         return len(self.axes)
+
+    @property
+    def uniform(self):
+        return self.scheme in _UNIFORM_SCHEMES
 
     @property
     def size(self):
@@ -210,7 +221,8 @@ def build_grid(domain, counts, scheme="uniform-interior", ctx=None, avoid=()):
                         f"or switch grid scheme"
                     )
         axes.append(tuple(ax))
-    return Grid(tuple(tuple(ctx.num(v) for v in ab) for ab in domain), tuple(axes))
+    domain = tuple(tuple(ctx.num(v) for v in ab) for ab in domain)
+    return Grid(domain, tuple(axes), scheme)
 
 
 # -- product kernels and matrix assembly ----------------------------------------
@@ -360,11 +372,25 @@ class Solution:
         (``numerics.mode_products``), and M's values on the same grid are
         added.  A single point is a grid of 1-point axes.  Coordinates are
         rounded to the solution's digits first.
+
+        A constrained kernel's matrix is the Gaussian's, G, minus the
+        low-rank part Phi Gamma^-1 Psi^T of its r <= 2 corrections
+        (``partial_matrix``).  Along an axis with more nodes than the
+        other axes hold together, always in 1D, it is applied by its
+        factors, K lam = G lam - Phi (Gamma^-1 Psi^T lam): the r
+        coefficients are carried at D + 10 digits and every output entry
+        is one exact dot rounded once at D.  Along the other axes its
+        m_d x n_d entries are formed once instead (see
+        ``numerics.mode_products``).  On uniform grids the rows of G
+        come from a two-term recurrence along the nodes (see
+        ``kernels.GaussianKernel``).  Each entry depends on its own point
+        only, so grid and pointwise values agree bit for bit.
         """
         ctx = self.ctx
         axes = [[ctx.num(x) for x in pts] for pts in axes]
+        uniform = self.grid.uniform
         mats = [
-            [[k.mixed_partial(m, 0, x, node) for node in nodes] for x in pts]
+            k.partial_matrix(m, pts, nodes, uniform)
             for k, m, pts, nodes in zip(self.kernels, orders, axes, self.grid.axes)
         ]
         vals = mode_products(ctx, self.lam, self.grid.counts, mats)

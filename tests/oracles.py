@@ -2,17 +2,27 @@
 
 The oracles deliberately avoid the package's analytic derivative paths:
 finite differences check mixed partials, and a Jacobi sweep checks
-definiteness decisions, each from first principles.  The helpers at the
-end are conveniences over the package that only tests use.
+definiteness decisions, each from first principles.  A Cholesky
+factorization tests positive definiteness, and ``per_entry_expansion``
+evaluates a solution from kernel matrices formed entry by entry.  The
+helpers at the end are conveniences over the package that only tests use.
 """
 
 import math
 
 import mpmath
 
+from bcrbf.errors import BcrbfError
 from bcrbf.functionals import make_dirichlet
 from bcrbf.homogenize import homogenize_nd
-from bcrbf.numerics import lu_factor, transpose
+from bcrbf.numerics import (
+    check_finite,
+    lu_factor,
+    max_abs,
+    mode_products,
+    transpose,
+    zeros,
+)
 
 # central difference coefficients on offsets -order..order (step h)
 _STENCILS = {
@@ -92,6 +102,48 @@ def jacobi_eigenvalues(a, sweeps=50, tol=1e-14):
     return sorted(a[i][i] for i in range(n))
 
 
+class NotSymmetric(BcrbfError):
+    """Cholesky input deviates from symmetry beyond tolerance."""
+
+
+def cholesky(ctx, a):
+    """Lower-triangular G with G*G^T ~= A, or None when A is not numerically
+    positive definite (a flag, not an exception: callers use this as a PD
+    test).  Raises NotSymmetric when A deviates from symmetry beyond
+    tolerance."""
+    n = len(a)
+    if n == 0 or any(len(row) != n for row in a):
+        raise ValueError("cholesky requires a nonempty square matrix")
+    check_finite(a, "cholesky input")
+    scale = max_abs(a)
+    tol_sym = ctx.tol(5) * max(1.0, scale)
+    asym = max(
+        abs(a[i][j] - a[j][i]) for i in range(n) for j in range(i + 1, n)
+    ) if n > 1 else 0.0
+    if asym > tol_sym:
+        raise NotSymmetric(f"asymmetry {float(asym):.3e} exceeds {float(tol_sym):.3e}")
+    # fail when a diagonal residual dips below minus a noise-level margin
+    tol_pivot = ctx.tol(2) * max(1.0, float(scale))
+    g = zeros(ctx, n, n)
+    for j in range(n):
+        d = a[j][j]
+        for k in range(j):
+            d -= g[j][k] * g[j][k]
+        if d <= -tol_pivot:
+            return None
+        if d <= 0:
+            # numerically semidefinite: zero pivot, zero column
+            continue
+        gjj = ctx.sqrt(d)
+        g[j][j] = gjj
+        for i in range(j + 1, n):
+            s = a[i][j]
+            for k in range(j):
+                s -= g[i][k] * g[j][k]
+            g[i][j] = s / gjj
+    return g
+
+
 # -- helpers over the package -------------------------------------------------
 
 
@@ -148,3 +200,24 @@ def homogenize_2d_dirichlet(g1, g2, h1, h2, rect, ctx):
         ),
     ]
     return homogenize_nd(pairs, ctx)
+
+
+def dense_axis_matrix(kernel, m, pts, nodes):
+    """[[d^m/dx^m kernel(x, y) for y in nodes] for x in pts], entry by entry."""
+    return [[kernel.mixed_partial(m, 0, x, y) for y in nodes] for x in pts]
+
+
+def per_entry_expansion(sol, orders, axes):
+    """d^orders of a Solution on the tensor grid ``axes`` from its per-axis
+    kernel matrices formed entry by entry, contracted by ``mode_products``,
+    plus the homogenization map.  Returns the values and the matrices."""
+    ctx = sol.ctx
+    axes = [[ctx.num(x) for x in pts] for pts in axes]
+    mats = [
+        dense_axis_matrix(k, m, pts, nodes)
+        for k, m, pts, nodes in zip(sol.kernels, orders, axes, sol.grid.axes)
+    ]
+    vals = mode_products(ctx, sol.lam, sol.grid.counts, mats)
+    if sol.hom is not None:
+        vals = [v + h for v, h in zip(vals, sol.hom.partial_axes(orders, axes))]
+    return vals, mats

@@ -26,11 +26,11 @@ from bcrbf.functionals import (
 from bcrbf.homogenize import homogenize_nd
 from bcrbf.kansa import kansa_solve
 from bcrbf.kernels import GaussianKernel
-from bcrbf.numerics import FLOAT64, Precision, cholesky
+from bcrbf.numerics import FLOAT64, Precision
 from bcrbf.pseudospectral import solve
 from bcrbf.reporting import error_metrics, run_example, run_sweep, sweep_shapes
 
-from oracles import fd_mixed_partial_f64
+from oracles import cholesky, fd_mixed_partial_f64
 
 pytestmark = pytest.mark.acceptance
 

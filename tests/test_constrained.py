@@ -14,7 +14,7 @@ from bcrbf.functionals import (
     make_robin,
 )
 from bcrbf.kernels import GaussianKernel
-from bcrbf.numerics import Precision, cholesky
+from bcrbf.numerics import Precision
 from bcrbf.pseudospectral import (
     OperatorSpec,
     OperatorTerm,
@@ -23,7 +23,7 @@ from bcrbf.pseudospectral import (
 )
 from bcrbf.numerics import lu_factor
 
-from oracles import fd_mixed_partial_f64
+from oracles import cholesky, fd_mixed_partial_f64
 
 MP50 = Precision("mp", 50)
 

@@ -1,0 +1,140 @@
+"""Evaluating solutions: Gaussian rows by recurrence on uniform node axes,
+and the constrained kernels' corrections applied to the coefficients."""
+
+import functools
+import math
+
+import mpmath
+import pytest
+
+from bcrbf.benchmarks import get_example
+from bcrbf.constrained import ConstrainedKernel
+from bcrbf.kansa import _inclusive_axes, kansa_solve
+from bcrbf.kernels import GaussianKernel
+from bcrbf.numerics import Precision
+from bcrbf.pseudospectral import build_grid, solve
+from bcrbf.reporting import evaluation_axes
+
+from oracles import dense_axis_matrix, per_entry_expansion
+
+MP150 = Precision("mp", 150)
+UNIT = ((0, 1),)
+
+
+@functools.lru_cache(maxsize=None)
+def _solution(ident, counts, dps, method, scheme="uniform-interior"):
+    ctx = Precision("mp", dps)
+    record = get_example(ident)
+    problem = record.make(ctx, 0.5) if record.has_eps else record.make(ctx)
+    shape = record.default_shape
+    if method == "kansa":
+        return kansa_solve(problem, counts, shape, ctx, estimate_conditioning=False)
+    return solve(
+        problem, counts, shape, ctx, mode=method, scheme=scheme,
+        estimate_conditioning=False,
+    )
+
+
+@pytest.mark.parametrize("nodes", ["uniform-interior", "kansa-inclusive"])
+def test_recurrence_rows_match_exp(nodes):
+    """On uniform node axes every Gaussian row entry, orders 0-2, is within
+    10^-D relative of the entry by exp."""
+    ctx = MP150
+    if nodes == "uniform-interior":
+        axis = build_grid(UNIT, (72,), nodes, ctx).axes[0]
+    else:
+        axis = _inclusive_axes(UNIT, (72,), ctx)[0]
+    (pts,) = evaluation_axes(UNIT, ctx)
+    kernel = GaussianKernel("0.18", ctx)
+    tol = mpmath.mpf(10) ** -ctx.digits
+    for m in (0, 1, 2):
+        rows = kernel.partial_matrix(m, pts, axis, True)
+        ref = dense_axis_matrix(kernel, m, pts, axis)
+        assert len(rows) == len(pts)
+        for row, ref_row in zip(rows, ref):
+            assert len(row) == len(axis)
+            for v, r in zip(row, ref_row):
+                assert abs(v - r) <= tol * abs(r)
+
+
+def test_chebyshev_axes_evaluate_entry_by_entry():
+    """Chebyshev nodes keep one exp per entry.  In 1D each value is one
+    exact dot of the per-entry Gaussian row and the correction traces
+    d^m phi_k(x) with lam and the coefficients -psi_k . lam / gamma_k,
+    carried at D + 10 digits: bit for bit, orders 0-2 on the 201-point
+    grid."""
+    sol = _solution("ex1", (72,), 150, "direct", "chebyshev-interior")
+    ctx, (kernel,), (nodes,) = sol.ctx, sol.kernels, sol.grid.axes
+    assert isinstance(kernel, ConstrainedKernel) and not sol.grid.uniform
+    (pts,) = evaluation_axes(UNIT, ctx)
+    work = ctx.with_digits(ctx.digits + 10).mp
+    ext = list(sol.lam) + [
+        -(work.fdot([c.psi.deriv(y, 0) for y in nodes], sol.lam) / c.gamma)
+        for c in kernel.corrections
+    ]
+    for m in (0, 1, 2):
+        gauss = dense_axis_matrix(kernel.base, m, pts, nodes)
+        hom = sol.hom.partial_axes((m,), [pts])
+        ref = [
+            ctx.mp.fdot(row + [c.phi.deriv(x, m) for c in kernel.corrections], ext) + h
+            for row, x, h in zip(gauss, pts, hom)
+        ]
+        assert sol._expand((m,), [pts]) == ref
+
+
+def test_chebyshev_grid_evaluates_entry_by_entry():
+    """On a 6x6 Chebyshev grid each axis has as many nodes in the other
+    axis as in its own, so the corrected matrices are formed entry by
+    entry and evaluation equals the per-entry dense contraction bit for
+    bit."""
+    sol = _solution("ex4", (6, 6), 100, "direct", "chebyshev-interior")
+    axes = evaluation_axes(sol.grid.domain, sol.ctx)
+    for orders in ((0, 0), (1, 0), (0, 2)):
+        assert sol._expand(orders, axes) == per_entry_expansion(sol, orders, axes)[0]
+
+
+CASES = [
+    ("ex1", (72,), 150, "direct", ((0,), (1,), (2,))),
+    ("ex1", (72,), 150, "ps", ((0,),)),
+    ("ex1", (72,), 150, "kansa", ((0,),)),
+    ("ex4", (8, 8), 150, "direct", ((0, 0), (1, 0), (0, 2))),
+    ("ex7", (4, 4, 4), 100, "direct", ((0, 0, 0), (0, 0, 2))),
+]
+
+
+@pytest.mark.parametrize("ident,counts,dps,method,orders_list", CASES)
+def test_evaluation_matches_per_entry_oracle(ident, counts, dps, method, orders_list):
+    """Evaluation agrees with the per-entry kernel matrices contracted by
+    mode_products to 10^(5-D) sum|lam| prod_d max|K_d| on the error grid."""
+    sol = _solution(ident, counts, dps, method)
+    ctx = sol.ctx
+    axes = evaluation_axes(sol.grid.domain, ctx)
+    lam_sum = sum(abs(v) for v in sol.lam)
+    for orders in orders_list:
+        ref, mats = per_entry_expansion(sol, orders, axes)
+        k_max = math.prod(max(abs(v) for row in mat for v in row) for mat in mats)
+        tol = mpmath.mpf(10) ** (5 - ctx.digits) * lam_sum * k_max
+        got = sol._expand(orders, axes)
+        assert len(got) == len(ref)
+        assert max(abs(a - b) for a, b in zip(got, ref)) <= tol
+
+
+def test_evaluation_kernel_calls_scale_with_points_plus_nodes(monkeypatch):
+    """One constrained ex1 N=72 solution on the 201-point grid needs the
+    kernels' mixed partials O(points + nodes) times, not points x nodes
+    (14,472 when every entry was formed by mixed_partial)."""
+    ctx = MP150
+    sol = solve(
+        get_example("ex1").make(ctx, 0.5), (72,), "0.18", ctx,
+        estimate_conditioning=False,
+    )
+    (pts,) = evaluation_axes(UNIT, ctx)
+    calls = []
+    for cls in (GaussianKernel, ConstrainedKernel):
+        def counted(self, m, n, x, y, _fn=cls.mixed_partial):
+            calls.append(1)
+            return _fn(self, m, n, x, y)
+
+        monkeypatch.setattr(cls, "mixed_partial", counted)
+    assert len(sol.evaluate_axes([pts])) == len(pts)
+    assert 0 < len(calls) <= 10 * (len(pts) + 72)

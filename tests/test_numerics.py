@@ -3,11 +3,10 @@ import random
 import mpmath
 import pytest
 
-from bcrbf.errors import NotSymmetric, SingularMatrix
+from bcrbf.errors import SingularMatrix
 from bcrbf.numerics import (
     FLOAT64,
     Precision,
-    cholesky,
     identity,
     lu_factor,
     mat_vec,
@@ -16,7 +15,14 @@ from bcrbf.numerics import (
     transpose,
 )
 
-from oracles import jacobi_eigenvalues, lu_solve, lu_solve_vec, mat_mul
+from oracles import (
+    NotSymmetric,
+    cholesky,
+    jacobi_eigenvalues,
+    lu_solve,
+    lu_solve_vec,
+    mat_mul,
+)
 
 MP50 = Precision("mp", 50)
 
