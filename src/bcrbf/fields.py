@@ -67,10 +67,6 @@ class Fn1:
             self._cache[key] = val
         return val
 
-    @property
-    def depth(self):
-        return len(self._derivs) - 1
-
 
 def fn_constant(c):
     return Fn1(lambda t: c, lambda t: 0 * c, lambda t: 0 * c)

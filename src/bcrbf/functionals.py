@@ -44,9 +44,6 @@ class BoundaryFunctional:
         self.terms = tuple(terms)
         self.rhs = rhs
 
-    def max_order(self):
-        return max(t.order for t in self.terms)
-
     def support_locations(self):
         return tuple(t.location for t in self.terms)
 

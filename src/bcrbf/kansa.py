@@ -17,6 +17,7 @@ the comparison.
 from __future__ import annotations
 
 from .errors import SingularMatrix
+from .functionals import apply_to_kernel_slot
 from .kernels import GaussianKernel
 from .numerics import lu_factor
 from .pseudospectral import Grid, Solution, _all_tables
@@ -42,9 +43,11 @@ def _face_of(ii, counts):
     return None
 
 
-def kansa_solve(problem, counts, shape, ctx, estimate_conditioning=True):
+def kansa_solve(problem, counts, shape, ctx):
     """Solve by unsymmetric collocation; returns a Solution (without any
-    homogenization map: the expansion carries the data itself)."""
+    homogenization map: the expansion carries the data itself).  Its
+    diagnostics record ``cond_AL``, the 1-norm estimate from the factors
+    that solved the system."""
     dim = problem.dim
     if len(counts) != dim:
         raise ValueError("counts must match the problem dimension")
@@ -62,14 +65,8 @@ def kansa_solve(problem, counts, shape, ctx, estimate_conditioning=True):
     for d in range(dim):
         for side in (0, 1):
             functional = problem.bcs[d][side].functional
-            k = kernels[d]
-            face_vectors[(d, side)] = [
-                sum(
-                    t.coeff * k.mixed_partial(t.order, 0, t.location, xj)
-                    for t in functional.terms
-                )
-                for xj in axes[d]
-            ]
+            trace = apply_to_kernel_slot(functional, kernels[d], "first")
+            face_vectors[(d, side)] = [trace(xj) for xj in axes[d]]
 
     idx = grid.indices()
     rows = []
@@ -112,7 +109,10 @@ def kansa_solve(problem, counts, shape, ctx, estimate_conditioning=True):
             pivot_index=exc.pivot_index,
         ) from None
     lam = fact.solve_vec(rhs)
-    diagnostics = {"mode": "kansa", "shape": shape, "counts": tuple(counts)}
-    if estimate_conditioning:
-        diagnostics["cond_AL"] = fact.cond1_estimate()
+    diagnostics = {
+        "mode": "kansa",
+        "shape": shape,
+        "counts": tuple(counts),
+        "cond_AL": fact.cond1_estimate(),
+    }
     return Solution(ctx, grid, kernels, lam, None, None, diagnostics)

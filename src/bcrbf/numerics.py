@@ -179,19 +179,6 @@ def is_finite(x):
 # -- basic dense helpers ----------------------------------------------------
 
 
-def zeros(ctx, rows, cols):
-    z = ctx.zero
-    return [[z] * cols for _ in range(rows)]
-
-
-def identity(ctx, n):
-    a = zeros(ctx, n, n)
-    one = ctx.one
-    for i in range(n):
-        a[i][i] = one
-    return a
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 
@@ -259,9 +246,7 @@ class CorrectedMatrix:
     def extend(self, x):
         work = self.work
         coeffs = [-(dot(work, q, x) / g) for q, g in zip(self.right, self.gammas)]
-        if self.ctx.mode == "mp":
-            coeffs = _exactly(self.ctx, coeffs)
-        return [*x, *coeffs]
+        return [*x, *_exactly(self.ctx, coeffs)]
 
     def dense(self):
         """The matrix entry by entry, B_ij - P_ik Q_kj / gamma_k for each k
@@ -324,15 +309,9 @@ def mode_products(ctx, vals, shape, mats):
 
 
 def _minus_dot(ctx, s, us, vs):
-    """s - sum(u * v).  In mp mode the context's fdot forms the sum exactly
-    and rounds it once, and the difference is rounded at the context's
-    digits whatever the context of ``s``; float64 subtracts term by term
-    in order, as always."""
-    if ctx.mode == "mp":
-        return -(ctx.mp.fdot(us, vs) - s)
-    for u, v in zip(us, vs):
-        s -= u * v
-    return s
+    """s - sum(u * v), the sum formed by ``dot``.  In mp mode the difference
+    is rounded at the context's digits whatever the context of ``s``."""
+    return -(dot(ctx, us, vs) - s)
 
 
 # -- LU factorization with partial pivoting ---------------------------------
@@ -342,12 +321,10 @@ class LUFactorization:
     """In-place LU factors of P*A = L*U with row partial pivoting.
 
     Row pivoting only: at desk scale (n <= ~500) full pivoting buys nothing.
-    The elimination sweep is strictly sequential so repeated runs are
-    bit-identical per precision mode.  float64 runs the classic
-    right-looking sweep.  mp runs the left-looking (Crout) order, the same
-    pivots and operands, in which each entry of L and U is one dot product
-    that the context's fdot sums exactly and rounds once: no less accurate,
-    and about twice as fast with pure-Python mpmath.
+    Both precisions eliminate in one order, left-looking (Crout): each
+    entry of L and U is one ``dot`` product, which mp sums exactly and
+    rounds once.  The sweep is strictly sequential, so repeated runs are
+    bit-identical per precision mode.
 
     The factors, and the solutions of ``solve_vec`` and
     ``solve_transpose_vec``, are at the digits of ``ctx``; the entries of
@@ -362,20 +339,15 @@ class LUFactorization:
         self.ctx = ctx
         self.n = n
         self.norm1_a = norm_1(a)
-        crout = ctx.mode == "mp"
-        if crout:
-            lu = [_exactly(ctx, row) for row in a]
-            fdot = ctx.mp.fdot
-        else:
-            lu = [list(row) for row in a]
+        lu = [_exactly(ctx, row) for row in a]
         swaps = []
         tol_pivot = ctx.pivot_tol(max_abs(a))
         for k in range(n):
-            if crout and k:
+            if k:
                 # column k must be up to date before its pivot is chosen
                 col = [lu[j][k] for j in range(k)]
                 for i in range(k, n):
-                    lu[i][k] -= fdot(lu[i][:k], col)
+                    lu[i][k] -= dot(ctx, lu[i][:k], col)
             p = max(range(k, n), key=lambda i: abs(lu[i][k]))
             if abs(lu[p][k]) <= tol_pivot:
                 raise SingularMatrix(
@@ -389,21 +361,12 @@ class LUFactorization:
             swaps.append(p)
             row_k = lu[k]
             piv = row_k[k]
-            if crout:
-                if k:
-                    for j in range(k + 1, n):
-                        col = [lu[i][j] for i in range(k)]
-                        row_k[j] -= fdot(row_k[:k], col)
-                for i in range(k + 1, n):
-                    lu[i][k] /= piv
-                continue
+            if k:
+                for j in range(k + 1, n):
+                    col = [lu[i][j] for i in range(k)]
+                    row_k[j] -= dot(ctx, row_k[:k], col)
             for i in range(k + 1, n):
-                row_i = lu[i]
-                m = row_i[k] / piv
-                row_i[k] = m
-                if m:
-                    for j in range(k + 1, n):
-                        row_i[j] -= m * row_k[j]
+                lu[i][k] /= piv
         self.lu = lu
         self.swaps = swaps
 
@@ -444,7 +407,11 @@ class LUFactorization:
         return transpose(xs)
 
     def cond1_estimate(self):
-        """Hager-style 1-norm condition estimate ||A||_1 * est(||A^-1||_1)."""
+        """Hager-style 1-norm condition estimate ||A||_1 * est(||A^-1||_1).
+
+        Reads only ``ctx``, ``n``, ``norm1_a``, ``solve_vec`` and
+        ``solve_transpose_vec``, so any solver that has them may call it
+        as its own estimate."""
         ctx, n = self.ctx, self.n
         x = [ctx.num(1) / n] * n
         inv_norm = ctx.zero
@@ -502,7 +469,10 @@ class Refinement:
 
 def _exactly(ctx, vs):
     """The numbers ``vs`` taken exactly into the mp context of ``ctx``: its
-    arithmetic on them rounds at its digits, and its fdot converts none."""
+    arithmetic on them rounds at its digits, and its fdot converts none.
+    float64 numbers are copied as they are."""
+    if ctx.mode == "float64":
+        return list(vs)
     convert = ctx.mp.convert
     return [convert(v) for v in vs]
 

@@ -9,16 +9,19 @@ PDE at interior tensor nodes, and solve either
   nodal values, then A lambda = v (A is never inverted explicitly; the
   matrix equation L A = A_L is solved instead).
 
-Both routes compute the nodal values A A_L^{-1} F + M.  In ``mp`` mode at
-D digits, A, A_L and F are assembled at D digits and each route returns
-the solution of that assembled system to D digits.  The route's own
-factorizations start an iterative refinement of lambda against the
-residual F - A_L lambda, summed exactly.  lambda is carried at an extended
-work precision, the nodal values A lambda + M are formed there, and both
-are then rounded to D digits.  The two routes therefore agree to D
+Both routes compute the nodal values A A_L^{-1} F + M, and both
+precisions take one solve path, ``numerics.refine`` with the route's
+factorizations; only the factorizations differ between the routes.  Each
+route forms lambda, then the nodal values as A lambda + M.  In ``mp``
+mode at D digits, A, A_L and F are assembled at D digits and each route
+returns the solution of that assembled system to D digits: lambda is
+refined against the residual F - A_L lambda, summed exactly, and carried
+at an extended work precision, the nodal values are formed there, and
+both are then rounded to D digits.  The two routes therefore agree to D
 digits.  How close the D-digit assembled system is to the exact
 discretization is a separate floor (see the README's reproduction
-limits).  ``float64`` runs do one plain solve per route, as stated above.
+limits).  ``float64`` has no wider format: there ``refine`` does one
+plain solve.
 
 Boundary nodes are excluded by construction: with boundary-condition-
 satisfying kernels the basis functions vanish under every boundary
@@ -41,7 +44,14 @@ from .errors import NodeCollision, SingularMatrix
 from .fields import apply_functional, as_data
 from .homogenize import homogenize_nd
 from .kernels import GaussianKernel
-from .numerics import REFINE_GUARD, lu_factor, mode_products, refine
+from .numerics import (
+    REFINE_GUARD,
+    LUFactorization,
+    lu_factor,
+    mode_products,
+    norm_1,
+    refine,
+)
 
 _COLLISION_RTOL = 1e-9
 
@@ -291,9 +301,14 @@ def operational_matrix(fact_a, a_l):
 class _OperationalFactors:
     """The ps route's factorizations: LU factors of A, and of L formed from
     them.  Since A_L = L A, ``solve_vec`` applies A^-1 L^-1, an
-    approximate inverse of A_L."""
+    approximate inverse of A_L, and ``solve_transpose_vec`` L^-T A^-T, one
+    of A_L^T: so ``cond1_estimate`` estimates cond_1(A_L) from these
+    factors, with no factorization of A_L."""
 
     def __init__(self, ctx, a, a_l):
+        self.ctx = ctx
+        self.n = len(a_l)
+        self.norm1_a = norm_1(a_l)
         try:
             self.fact_a = lu_factor(ctx, a)
         except SingularMatrix as exc:
@@ -307,6 +322,12 @@ class _OperationalFactors:
 
     def solve_vec(self, r):
         return self.fact_a.solve_vec(self.fact_lmat.solve_vec(r))
+
+    def solve_transpose_vec(self, r):
+        return self.fact_lmat.solve_transpose_vec(self.fact_a.solve_transpose_vec(r))
+
+    def cond1_estimate(self):
+        return LUFactorization.cond1_estimate(self)
 
 
 def _cond_a(ctx, tables):
@@ -407,34 +428,32 @@ class Solution:
 # -- the solver -------------------------------------------------------------------
 
 
-def solve(
-    problem,
-    counts,
-    shape,
-    ctx,
-    mode="direct",
-    scheme="uniform-interior",
-    estimate_conditioning=True,
-):
+def solve(problem, counts, shape, ctx, mode="direct", scheme="uniform-interior"):
     """Solve a ProblemSpec on an interior tensor grid.
 
     Returns a Solution whose expansion satisfies every boundary condition
     exactly (the kernels annihilate the homogeneous functionals; M carries
     the data).
 
-    In ``mp`` mode ``nodal`` holds A lambda + M and ``lam`` the refined
-    coefficients, both rounded to the context's D digits.  The nodal
-    values are accurate to D digits for the assembled system.  The
-    coefficients are large and cancel in A lambda, so the D-digit ``lam``
-    reproduces the nodal values only to D digits less the cancelled ones,
-    which is also the floor of evaluating the expansion at D digits.
+    Both routes and both precisions take one path, ``numerics.refine``,
+    with the route's factorizations.  ``nodal`` holds A lambda + M and
+    ``lam`` the coefficients, both rounded to the context's D digits.  In
+    ``mp`` mode lambda is refined, and the nodal values are accurate to D
+    digits for the assembled system.  The coefficients are large and
+    cancel in A lambda, so the D-digit ``lam`` reproduces the nodal values
+    only to D digits less the cancelled ones, which is also the floor of
+    evaluating the expansion at D digits.  ``float64`` does one plain
+    solve.
 
-    The mp diagnostics record ``factor_digits`` (precision of the last
+    The diagnostics record ``factor_digits`` (precision of the last
     factorization), ``work_digits`` (precision of the residuals and of
     lambda), ``refine_steps`` and ``effective_digits``: the significant
     digits of the nodal values, relative to the largest, that the
     refinement vouches for.  It equals D unless the refinement stalled
-    even at the raised factor precision.
+    even at the raised factor precision; float64 records 16 digits and no
+    steps.  ``cond_A`` is the product of the per-axis estimates (None when
+    an axis table is singular) and ``cond_AL`` the 1-norm estimate from
+    the factors that solved the system.
     """
     if mode not in ("direct", "ps"):
         raise ValueError("mode must be 'direct' or 'ps'")
@@ -474,11 +493,7 @@ def solve(
         for i, p in enumerate(grid.points())
     ]
 
-    diagnostics = {"mode": mode, "shape": shape, "counts": tuple(counts)}
-    cond_a = None
-    if ctx.mode == "mp" or estimate_conditioning:
-        cond_a = _cond_a(ctx, tables)
-    mvals = hom.partial_axes((0,) * dim, grid.axes)
+    cond_a = _cond_a(ctx, tables)
     if mode == "direct":
         def factor(fctx):
             return lu_factor(fctx, a_l)
@@ -486,42 +501,22 @@ def solve(
         def factor(fctx):
             return _OperationalFactors(fctx, a, a_l)
 
-    if ctx.mode == "mp":
-        risky = cond_a is None or cond_a >= ctx.num(10) ** (ctx.digits - REFINE_GUARD)
-        run = refine(
-            ctx, a_l, f, factor, guard=REFINE_GUARD if risky else 0,
-            image=a, shift=mvals,
-        )
-        factors = run.solver
-        lam = [ctx.num(v) for v in run.x]
-        nodal = [ctx.num(v) for v in run.y]
-        diagnostics.update(
-            factor_digits=run.factor_digits,
-            work_digits=run.work_digits,
-            refine_steps=run.steps,
-            effective_digits=run.effective_digits,
-        )
-    elif mode == "direct":
-        factors = factor(ctx)
-        lam = factors.solve_vec(f)
-        nodal = [
-            sum(a[i][j] * lam[j] for j in range(grid.size)) + mvals[i]
-            for i in range(grid.size)
-        ]
-    else:
-        factors = factor(ctx)
-        v_nodal = factors.fact_lmat.solve_vec(f)
-        lam = factors.fact_a.solve_vec(v_nodal)
-        nodal = [v + m for v, m in zip(v_nodal, mvals)]
-
-    if estimate_conditioning:
-        diagnostics["cond_A"] = cond_a
-        if mode == "direct":
-            diagnostics["cond_AL"] = factors.cond1_estimate()
-        else:
-            try:
-                diagnostics["cond_AL"] = lu_factor(ctx, a_l).cond1_estimate()
-            except SingularMatrix:
-                diagnostics["cond_AL"] = None
-
+    risky = cond_a is None or cond_a >= ctx.num(10) ** (ctx.digits - REFINE_GUARD)
+    run = refine(
+        ctx, a_l, f, factor, guard=REFINE_GUARD if risky else 0,
+        image=a, shift=hom.partial_axes((0,) * dim, grid.axes),
+    )
+    lam = [ctx.num(v) for v in run.x]
+    nodal = [ctx.num(v) for v in run.y]
+    diagnostics = {
+        "mode": mode,
+        "shape": shape,
+        "counts": tuple(counts),
+        "factor_digits": run.factor_digits,
+        "work_digits": run.work_digits,
+        "refine_steps": run.steps,
+        "effective_digits": run.effective_digits,
+        "cond_A": cond_a,
+        "cond_AL": run.solver.cond1_estimate(),
+    }
     return Solution(ctx, grid, kernels, lam, hom, nodal, diagnostics)

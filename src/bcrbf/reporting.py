@@ -80,12 +80,7 @@ def _sci(x):
 
 
 def _fmt_cond(v):
-    if v is None:
-        return "nan"
-    try:
-        return f"{float(v):.5e}"
-    except (OverflowError, ValueError):
-        return mpmath.nstr(v, 6)  # beyond binary64 range
+    return "nan" if v is None else _sci(v)
 
 
 def grid_label(counts):

@@ -21,7 +21,6 @@ from bcrbf.numerics import (
     max_abs,
     mode_products,
     transpose,
-    zeros,
 )
 
 # central difference coefficients on offsets -order..order (step h)
@@ -145,6 +144,19 @@ def cholesky(ctx, a):
 
 
 # -- helpers over the package -------------------------------------------------
+
+
+def zeros(ctx, rows, cols):
+    z = ctx.zero
+    return [[z] * cols for _ in range(rows)]
+
+
+def identity(ctx, n):
+    a = zeros(ctx, n, n)
+    one = ctx.one
+    for i in range(n):
+        a[i][i] = one
+    return a
 
 
 def mat_mul(a, b):

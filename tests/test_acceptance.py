@@ -295,10 +295,7 @@ def test_criterion_10_convergence(ident):
     start = time.perf_counter()
     errs = []
     for counts in cfg["counts"]:
-        sol = solve(
-            problem, counts, cfg["shape"], ctx,
-            scheme=cfg["scheme"], estimate_conditioning=False,
-        )
+        sol = solve(problem, counts, cfg["shape"], ctx, scheme=cfg["scheme"])
         err, _ = error_metrics(sol, problem.exact, ctx)
         errs.append(float(err))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
@@ -352,10 +349,8 @@ def test_criterion_12_mode_equivalence(ident, counts, shape, eps):
     ctx = MP100
     record = get_example(ident)
     problem = record.make(ctx, eps) if record.has_eps else record.make(ctx)
-    s_ps = solve(problem, counts, shape, ctx, mode="ps",
-                 estimate_conditioning=False)
-    s_direct = solve(problem, counts, shape, ctx, mode="direct",
-                     estimate_conditioning=False)
+    s_ps = solve(problem, counts, shape, ctx, mode="ps")
+    s_direct = solve(problem, counts, shape, ctx, mode="direct")
     num = max(abs(a - b) for a, b in zip(s_ps.nodal, s_direct.nodal))
     den = max(abs(a) for a in s_direct.nodal)
     rel = float(num / den)

@@ -28,11 +28,8 @@ def _solution(ident, counts, dps, method, scheme="uniform-interior"):
     problem = record.make(ctx, 0.5) if record.has_eps else record.make(ctx)
     shape = record.default_shape
     if method == "kansa":
-        return kansa_solve(problem, counts, shape, ctx, estimate_conditioning=False)
-    return solve(
-        problem, counts, shape, ctx, mode=method, scheme=scheme,
-        estimate_conditioning=False,
-    )
+        return kansa_solve(problem, counts, shape, ctx)
+    return solve(problem, counts, shape, ctx, mode=method, scheme=scheme)
 
 
 @pytest.mark.parametrize("nodes", ["uniform-interior", "kansa-inclusive"])
@@ -124,10 +121,7 @@ def test_evaluation_kernel_calls_scale_with_points_plus_nodes(monkeypatch):
     kernels' mixed partials O(points + nodes) times, not points x nodes
     (14,472 when every entry was formed by mixed_partial)."""
     ctx = MP150
-    sol = solve(
-        get_example("ex1").make(ctx, 0.5), (72,), "0.18", ctx,
-        estimate_conditioning=False,
-    )
+    sol = solve(get_example("ex1").make(ctx, 0.5), (72,), "0.18", ctx)
     (pts,) = evaluation_axes(UNIT, ctx)
     calls = []
     for cls in (GaussianKernel, ConstrainedKernel):

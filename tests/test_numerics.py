@@ -7,7 +7,6 @@ from bcrbf.errors import SingularMatrix
 from bcrbf.numerics import (
     FLOAT64,
     Precision,
-    identity,
     lu_factor,
     mat_vec,
     norm_inf,
@@ -18,6 +17,7 @@ from bcrbf.numerics import (
 from oracles import (
     NotSymmetric,
     cholesky,
+    identity,
     jacobi_eigenvalues,
     lu_solve,
     lu_solve_vec,

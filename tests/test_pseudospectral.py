@@ -13,13 +13,15 @@ from bcrbf.errors import NodeCollision, SingularMatrix
 from bcrbf.fields import apply_functional
 from bcrbf.functionals import make_dirichlet, make_multipoint, make_neumann, make_robin
 from bcrbf.kansa import kansa_solve
+from bcrbf import numerics
 from bcrbf.kernels import GaussianKernel
-from bcrbf.numerics import FLOAT64, Precision, identity, lu_factor, norm_inf
+from bcrbf.numerics import FLOAT64, Precision, lu_factor, norm_1, norm_inf
 from bcrbf.pseudospectral import (
     BoundaryCondition,
     OperatorSpec,
     OperatorTerm,
     ProblemSpec,
+    _OperationalFactors,
     build_evaluation_matrix,
     build_grid,
     build_operator_matrix,
@@ -29,7 +31,12 @@ from bcrbf.pseudospectral import (
     solve,
 )
 
-from oracles import fd_mixed_partial_f64, product_kernel_eval, product_kernel_partial
+from oracles import (
+    fd_mixed_partial_f64,
+    identity,
+    product_kernel_eval,
+    product_kernel_partial,
+)
 
 MP40 = Precision("mp", 40)
 
@@ -425,6 +432,68 @@ def test_mode_equivalence_well_conditioned():
     diff = max(abs(a - b) for a, b in zip(s_ps.nodal, s_direct.nodal))
     scale = max(abs(a) for a in s_direct.nodal)
     assert diff <= mpmath.mpf(10) ** (8 - 40) * scale
+
+
+def _trivial_system(ctx, n):
+    """A and A_L of ``_trivial_problem`` on n interior nodes, c = 1."""
+    problem = _trivial_problem(ctx)
+    funcs = [bc.functional.homogeneous() for bc in problem.bcs[0]]
+    kernels = [impose_sequence(GaussianKernel(ctx.one, ctx), funcs)]
+    g = build_grid(problem.domain, (n,), "uniform-interior", ctx)
+    return (
+        build_evaluation_matrix(g, kernels),
+        build_operator_matrix(g, kernels, problem.operator),
+    )
+
+
+def test_operational_factors_solve_transpose():
+    """L^-T after A^-T solves A_L^T x = b, A_L = L A, to the working
+    precision: the residual is small against |A_L| |x|."""
+    ctx = MP40
+    a, a_l = _trivial_system(ctx, 6)
+    b = [ctx.num(i % 3) - 1 for i in range(6)]
+    x = _OperationalFactors(ctx, a, a_l).solve_transpose_vec(b)
+    resid = max(abs(sum(a_l[j][i] * x[j] for j in range(6)) - b[i]) for i in range(6))
+    scale = norm_1(a_l) * max(abs(v) for v in x)
+    assert resid <= mpmath.mpf(10) ** (8 - 40) * scale
+
+
+def test_ps_solve_factors_a_axis_a_and_l_only(monkeypatch):
+    """One 1D ps solve factors the axis table (cond_A), A and L: cond_AL
+    comes from those factors, with no LU of A_L."""
+    made = []
+    init = numerics.LUFactorization.__init__
+
+    def counted(self, ctx, a):
+        made.append(len(a))
+        init(self, ctx, a)
+
+    monkeypatch.setattr(numerics.LUFactorization, "__init__", counted)
+    solve(_trivial_problem(MP40), (6,), 1.0, MP40, mode="ps")
+    assert made == [6, 6, 6]
+
+
+def test_ps_cond_al_matches_the_lu_estimate():
+    ctx = MP40
+    a, a_l = _trivial_system(ctx, 6)
+    sol = solve(_trivial_problem(ctx), (6,), 1.0, ctx, mode="ps")
+    ref = lu_factor(ctx, a_l).cond1_estimate()
+    assert ref / 10 <= sol.diagnostics["cond_AL"] <= ref * 10
+
+
+def test_float64_routes_record_the_same_diagnostics():
+    """float64 solves go through refine too: a plain solve, reported as
+    16 digits with no refinement step, and nodal = A lambda + M on both
+    routes."""
+    problem = _trivial_problem(FLOAT64)
+    sols = {m: solve(problem, (6,), 1.0, FLOAT64, mode=m) for m in ("direct", "ps")}
+    for sol in sols.values():
+        assert sol.diagnostics["effective_digits"] == 16
+        assert sol.diagnostics["refine_steps"] == 0
+        assert sol.diagnostics["cond_AL"] > 0
+    direct, ps = sols["direct"].nodal, sols["ps"].nodal
+    diff = max(abs(u - v) for u, v in zip(ps, direct))
+    assert diff <= 1e-8 * max(abs(v) for v in direct)
 
 
 def test_solve_validates_arguments():
