@@ -8,14 +8,12 @@ class BcrbfError(Exception):
 class SingularMatrix(BcrbfError):
     """LU elimination hit a pivot below the working-precision threshold.
 
-    Carries the zero-based pivot index and, when available, a 1-norm
-    condition estimate of the offending matrix.
+    Carries the zero-based pivot index.
     """
 
-    def __init__(self, message, pivot_index=None, cond_estimate=None):
+    def __init__(self, message, pivot_index=None):
         super().__init__(message)
         self.pivot_index = pivot_index
-        self.cond_estimate = cond_estimate
 
 
 class UnsupportedOrder(BcrbfError):

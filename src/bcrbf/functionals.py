@@ -109,27 +109,6 @@ def make_multipoint(a, weights, psi=0, ctx=FLOAT64):
 # -- application -------------------------------------------------------------
 
 
-def apply_to_function(functional, f, df=None):
-    """Apply L to a univariate function.
-
-    ``f`` is a callable; first-derivative terms need either ``df`` or an
-    ``f.deriv(t, order)`` method (kernel traces provide the latter).
-    """
-    total = 0
-    for t in functional.terms:
-        if t.order == 0:
-            total += t.coeff * f(t.location)
-        elif df is not None:
-            total += t.coeff * df(t.location)
-        elif hasattr(f, "deriv"):
-            total += t.coeff * f.deriv(t.location, t.order)
-        else:
-            raise TypeError(
-                "functional has derivative terms but no derivative access given"
-            )
-    return total
-
-
 class KernelTrace:
     """One kernel slot contracted against a functional; a function of the
     remaining variable with derivative access.

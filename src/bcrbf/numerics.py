@@ -22,8 +22,9 @@ and ``kernels.GaussianKernel`` runs its row recurrence with guard digits.
 Matrices are row-major lists of lists of scalars of one mode.  Contexts
 are never changed after they are made, so computations may run in
 concurrent threads, at equal or different digits.  Context-bound numbers
-do not pickle: processes exchange precision specs (``Precision.parse``),
-as ``reporting.run_sweep`` with ``jobs > 1`` does.  Elimination order is
+do not pickle, but a ``Precision`` does, as its (mode, dps): processes
+exchange those, as ``reporting.run_sweep`` with ``jobs > 1`` does, and
+each rebuilds its own context.  Elimination order is
 deterministic, so results are bit-reproducible per precision mode.
 """
 

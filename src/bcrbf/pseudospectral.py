@@ -23,6 +23,11 @@ discretization is a separate floor (see the README's reproduction
 limits).  ``float64`` has no wider format: there ``refine`` does one
 plain solve.
 
+A and A_L are assembled from per-axis node tables, each formed once by
+the kernel's ``partial_matrix``, and every row is a Kronecker product of
+table rows (``_kron_row``), or a sum of them over the operator's terms.
+Kansa's baseline (``kansa``) builds its system the same way.
+
 Boundary nodes are excluded by construction: with boundary-condition-
 satisfying kernels the basis functions vanish under every boundary
 functional, so boundary collocation rows would be identically zero.
@@ -46,6 +51,7 @@ from .homogenize import homogenize_nd
 from .kernels import GaussianKernel
 from .numerics import (
     REFINE_GUARD,
+    CorrectedMatrix,
     LUFactorization,
     lu_factor,
     mode_products,
@@ -198,11 +204,12 @@ class Grid:
 
 
 def build_grid(domain, counts, scheme="uniform-interior", ctx=None, avoid=()):
-    """Interior tensor grid; nodes never touch functional support locations.
+    """Tensor grid; nodes never touch the support locations in ``avoid``.
 
     ``uniform-interior`` places a + (b-a) j/(N+1), j = 1..N.
     ``chebyshev-interior`` maps Chebyshev points of the first kind into
-    (a, b), ascending.
+    (a, b), ascending.  ``uniform-inclusive`` places a + (b-a) j/(N-1),
+    j = 0..N-1, endpoints included (Kansa's grid and the error grid).
     """
     axes = []
     for d, ((a, b), n) in enumerate(zip(domain, counts)):
@@ -213,6 +220,8 @@ def build_grid(domain, counts, scheme="uniform-interior", ctx=None, avoid=()):
         span = b - a
         if scheme == "uniform-interior":
             ax = [a + span * j / (n + 1) for j in range(1, n + 1)]
+        elif scheme == "uniform-inclusive":
+            ax = [a + span * j / (n - 1) for j in range(n)]
         elif scheme == "chebyshev-interior":
             pi = ctx.pi
             ts = [ctx.cos((2 * k - 1) * pi / (2 * n)) for k in range(n, 0, -1)]
@@ -239,11 +248,19 @@ def build_grid(domain, counts, scheme="uniform-interior", ctx=None, avoid=()):
 
 
 def _axis_tables(kernel, nodes, orders):
-    """Per-axis matrices T[m][i][j] = d^m kernel(node_i, node_j)."""
-    return {
-        m: [[kernel.mixed_partial(m, 0, xi, xj) for xj in nodes] for xi in nodes]
-        for m in orders
-    }
+    """Per-axis matrices T[m][i][j] = d^m kernel(node_i, node_j), from
+    ``partial_matrix``; a CorrectedMatrix is formed entry by entry.
+
+    The nodes are not marked uniform: on the nodes' own grid only 2n - 1
+    offsets occur, and the kernel's exp memo already serves them, so the
+    recurrence would gain nothing.  It serves evaluation points, whose
+    offsets never repeat.
+    """
+    tables = {}
+    for m in orders:
+        mat = kernel.partial_matrix(m, nodes, nodes, False)
+        tables[m] = mat.dense() if isinstance(mat, CorrectedMatrix) else mat
+    return tables
 
 
 def _all_tables(kernels, grid, operator):
@@ -258,38 +275,54 @@ def _all_tables(kernels, grid, operator):
     ]
 
 
-def _product_from_tables(tables, orders, ii, jj):
-    out = 1
-    for t, m, i, j in zip(tables, orders, ii, jj):
-        out *= t[m][i][j]
-    return out
+def _kron_row(vectors):
+    """The Kronecker product of per-axis row vectors, in flat order: entry
+    j is prod_d vectors[d][j_d], multiplied in axis order.  Every system
+    row is one of these or a sum of them."""
+    return [math.prod(entries) for entries in itertools.product(*vectors)]
+
+
+def _operator_row(tables, terms, ii, p):
+    """Row of the operator collocated at node ii, point p: the sum over
+    terms of coeff(p) times the Kronecker product of the table rows
+    T_d^{m_d}[i_d], added term by term."""
+    row = itertools.repeat(0)
+    for t in terms:
+        c = t.coeff_at(p)
+        prods = _kron_row([tab[m][i] for tab, m, i in zip(tables, t.orders, ii)])
+        row = [v + c * e for v, e in zip(row, prods)]
+    return row
 
 
 def build_evaluation_matrix(grid, kernels, tables=None):
     """A[i][j] = prod_d kernel_d(node_i_d, node_j_d); symmetric by construction."""
     if tables is None:
         tables = _all_tables(kernels, grid, None)
-    zero_orders = (0,) * grid.dim
-    idx = grid.indices()
-    return [[_product_from_tables(tables, zero_orders, ii, jj) for jj in idx] for ii in idx]
+    return [_kron_row([t[0][i] for t, i in zip(tables, ii)]) for ii in grid.indices()]
 
 
 def build_operator_matrix(grid, kernels, operator, tables=None):
     """A_L[i][j] = sum_terms coeff(node_i) * prod_d d^{m_d} kernel_d(...)."""
     if tables is None:
         tables = _all_tables(kernels, grid, operator)
-    idx = grid.indices()
-    rows = []
-    for ii, p in zip(idx, grid.points()):
-        coeffs = [t.coeff_at(p) for t in operator.terms]
-        row = []
-        for jj in idx:
-            v = 0
-            for t, c in zip(operator.terms, coeffs):
-                v += c * _product_from_tables(tables, t.orders, ii, jj)
-            row.append(v)
-        rows.append(row)
-    return rows
+    return [
+        _operator_row(tables, operator.terms, ii, p)
+        for ii, p in zip(grid.indices(), grid.points())
+    ]
+
+
+def _factor_kernel_matrix(ctx, a, name):
+    """LU factors of a kernel matrix; a singular one raises SingularMatrix
+    naming the matrix and the remedies."""
+    try:
+        return lu_factor(ctx, a)
+    except SingularMatrix as exc:
+        raise SingularMatrix(
+            f"{name} numerically singular at pivot {exc.pivot_index}; "
+            f"remedies: larger shape parameter, fewer nodes, or higher "
+            f"precision",
+            pivot_index=exc.pivot_index,
+        ) from None
 
 
 def operational_matrix(fact_a, a_l):
@@ -309,15 +342,7 @@ class _OperationalFactors:
         self.ctx = ctx
         self.n = len(a_l)
         self.norm1_a = norm_1(a_l)
-        try:
-            self.fact_a = lu_factor(ctx, a)
-        except SingularMatrix as exc:
-            raise SingularMatrix(
-                f"evaluation matrix numerically singular at pivot "
-                f"{exc.pivot_index}; remedies: larger shape parameter, fewer "
-                f"nodes, or higher precision",
-                pivot_index=exc.pivot_index,
-            ) from None
+        self.fact_a = _factor_kernel_matrix(ctx, a, "evaluation matrix")
         self.fact_lmat = lu_factor(ctx, operational_matrix(self.fact_a, a_l))
 
     def solve_vec(self, r):

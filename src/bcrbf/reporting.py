@@ -19,8 +19,8 @@ import mpmath
 from .benchmarks import get_example, self_check
 from .errors import BcrbfError
 from .kansa import kansa_solve
-from .numerics import FLOAT64, Precision
-from .pseudospectral import solve
+from .numerics import FLOAT64
+from .pseudospectral import build_grid, solve
 
 CSV_COLUMNS = (
     "example",
@@ -99,12 +99,8 @@ def parse_counts(text):
 
 def evaluation_axes(domain, ctx):
     """Inclusive uniform error-metric grid for a box domain."""
-    n = _EVAL_POINTS[len(domain)]
-    axes = []
-    for a, b in domain:
-        a, b = ctx.num(a), ctx.num(b)
-        axes.append(tuple(a + (b - a) * j / (n - 1) for j in range(n)))
-    return axes
+    counts = (_EVAL_POINTS[len(domain)],) * len(domain)
+    return build_grid(domain, counts, "uniform-inclusive", ctx).axes
 
 
 def error_metrics(solution, exact, ctx):
@@ -187,11 +183,7 @@ def run_example(
 
 
 def _sweep_worker(args):
-    ident, method, counts, shape, prec_spec, eps, mode, scheme = args
-    return run_example(
-        ident, method, counts, shape, Precision.parse(prec_spec),
-        eps=eps, mode=mode, scheme=scheme,
-    )
+    return run_example(*args)
 
 
 def sweep_shapes(c_min, c_max, steps):
@@ -224,9 +216,8 @@ def run_sweep(
     'both'."""
     methods = ("constrained", "kansa") if method == "both" else (method,)
     shapes = sweep_shapes(c_min, c_max, steps)
-    spec = "float64" if precision.mode == "float64" else f"mp:{precision.dps}"
     tasks = [
-        (ident, m, tuple(counts), c, spec, eps, mode, scheme)
+        (ident, m, tuple(counts), c, precision, eps, mode, scheme)
         for c in shapes
         for m in methods
     ]

@@ -214,6 +214,27 @@ def homogenize_2d_dirichlet(g1, g2, h1, h2, rect, ctx):
     return homogenize_nd(pairs, ctx)
 
 
+def apply_to_function(functional, f, df=None):
+    """Apply L to a univariate function.
+
+    ``f`` is a callable; first-derivative terms need either ``df`` or an
+    ``f.deriv(t, order)`` method (kernel traces provide the latter).
+    """
+    total = 0
+    for t in functional.terms:
+        if t.order == 0:
+            total += t.coeff * f(t.location)
+        elif df is not None:
+            total += t.coeff * df(t.location)
+        elif hasattr(f, "deriv"):
+            total += t.coeff * f.deriv(t.location, t.order)
+        else:
+            raise TypeError(
+                "functional has derivative terms but no derivative access given"
+            )
+    return total
+
+
 def dense_axis_matrix(kernel, m, pts, nodes):
     """[[d^m/dx^m kernel(x, y) for y in nodes] for x in pts], entry by entry."""
     return [[kernel.mixed_partial(m, 0, x, y) for y in nodes] for x in pts]

@@ -17,7 +17,6 @@ from bcrbf.benchmarks import EXAMPLES, get_example
 from bcrbf.constrained import impose_sequence
 from bcrbf.fields import apply_functional
 from bcrbf.functionals import (
-    apply_to_function,
     make_dirichlet,
     make_multipoint,
     make_neumann,
@@ -30,7 +29,7 @@ from bcrbf.numerics import FLOAT64, Precision
 from bcrbf.pseudospectral import solve
 from bcrbf.reporting import error_metrics, run_example, run_sweep, sweep_shapes
 
-from oracles import cholesky, fd_mixed_partial_f64
+from oracles import apply_to_function, cholesky, fd_mixed_partial_f64
 
 pytestmark = pytest.mark.acceptance
 

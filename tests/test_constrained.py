@@ -7,7 +7,6 @@ import pytest
 from bcrbf.constrained import impose, impose_sequence
 from bcrbf.errors import DegenerateConstraint
 from bcrbf.functionals import (
-    apply_to_function,
     make_dirichlet,
     make_multipoint,
     make_neumann,
@@ -23,7 +22,7 @@ from bcrbf.pseudospectral import (
 )
 from bcrbf.numerics import lu_factor
 
-from oracles import cholesky, fd_mixed_partial_f64
+from oracles import apply_to_function, cholesky, fd_mixed_partial_f64
 
 MP50 = Precision("mp", 50)
 

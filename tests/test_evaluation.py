@@ -1,5 +1,7 @@
 """Evaluating solutions: Gaussian rows by recurrence on uniform node axes,
-and the constrained kernels' corrections applied to the coefficients."""
+and the constrained kernels' corrections applied to the coefficients.
+Kernel matrices, for solves and evaluation alike, need mixed partials per
+node or point, not per entry."""
 
 import functools
 import math
@@ -9,7 +11,7 @@ import pytest
 
 from bcrbf.benchmarks import get_example
 from bcrbf.constrained import ConstrainedKernel
-from bcrbf.kansa import _inclusive_axes, kansa_solve
+from bcrbf.kansa import kansa_solve
 from bcrbf.kernels import GaussianKernel
 from bcrbf.numerics import Precision
 from bcrbf.pseudospectral import build_grid, solve
@@ -32,15 +34,15 @@ def _solution(ident, counts, dps, method, scheme="uniform-interior"):
     return solve(problem, counts, shape, ctx, mode=method, scheme=scheme)
 
 
-@pytest.mark.parametrize("nodes", ["uniform-interior", "kansa-inclusive"])
+@pytest.mark.parametrize(
+    "nodes", ["uniform-interior", "uniform-inclusive"],
+    ids=["uniform-interior", "kansa-inclusive"],
+)
 def test_recurrence_rows_match_exp(nodes):
     """On uniform node axes every Gaussian row entry, orders 0-2, is within
     10^-D relative of the entry by exp."""
     ctx = MP150
-    if nodes == "uniform-interior":
-        axis = build_grid(UNIT, (72,), nodes, ctx).axes[0]
-    else:
-        axis = _inclusive_axes(UNIT, (72,), ctx)[0]
+    axis = build_grid(UNIT, (72,), nodes, ctx).axes[0]
     (pts,) = evaluation_axes(UNIT, ctx)
     kernel = GaussianKernel("0.18", ctx)
     tol = mpmath.mpf(10) ** -ctx.digits
@@ -116,13 +118,8 @@ def test_evaluation_matches_per_entry_oracle(ident, counts, dps, method, orders_
         assert max(abs(a - b) for a, b in zip(got, ref)) <= tol
 
 
-def test_evaluation_kernel_calls_scale_with_points_plus_nodes(monkeypatch):
-    """One constrained ex1 N=72 solution on the 201-point grid needs the
-    kernels' mixed partials O(points + nodes) times, not points x nodes
-    (14,472 when every entry was formed by mixed_partial)."""
-    ctx = MP150
-    sol = solve(get_example("ex1").make(ctx, 0.5), (72,), "0.18", ctx)
-    (pts,) = evaluation_axes(UNIT, ctx)
+def _count_mixed_partials(monkeypatch):
+    """A list that grows by one per kernel mixed-partial call."""
     calls = []
     for cls in (GaussianKernel, ConstrainedKernel):
         def counted(self, m, n, x, y, _fn=cls.mixed_partial):
@@ -130,5 +127,28 @@ def test_evaluation_kernel_calls_scale_with_points_plus_nodes(monkeypatch):
             return _fn(self, m, n, x, y)
 
         monkeypatch.setattr(cls, "mixed_partial", counted)
+    return calls
+
+
+def test_evaluation_kernel_calls_scale_with_points_plus_nodes(monkeypatch):
+    """One constrained ex1 N=72 solution on the 201-point grid needs the
+    kernels' mixed partials O(points + nodes) times, not points x nodes
+    (14,472 when every entry was formed by mixed_partial)."""
+    ctx = MP150
+    sol = solve(get_example("ex1").make(ctx, 0.5), (72,), "0.18", ctx)
+    (pts,) = evaluation_axes(UNIT, ctx)
+    calls = _count_mixed_partials(monkeypatch)
     assert len(sol.evaluate_axes([pts])) == len(pts)
     assert 0 < len(calls) <= 10 * (len(pts) + 72)
+
+
+def test_solve_kernel_calls_scale_with_nodes(monkeypatch):
+    """One constrained ex1 N=72 solve needs the kernels' mixed partials at
+    most 30 N times, for the correction traces at the nodes: its node
+    tables come from ``partial_matrix`` (32,852 calls when each of their
+    72 x 72 x 3 entries was a mixed partial)."""
+    ctx = MP150
+    problem = get_example("ex1").make(ctx, 0.5)
+    calls = _count_mixed_partials(monkeypatch)
+    solve(problem, (72,), "0.18", ctx)
+    assert 0 < len(calls) <= 30 * 72

@@ -7,7 +7,6 @@ from bcrbf.errors import InvalidFunctional
 from bcrbf.functionals import (
     BoundaryFunctional,
     FunctionalTerm,
-    apply_to_function,
     apply_to_kernel_slot,
     bilinear,
     format_functional,
@@ -20,7 +19,7 @@ from bcrbf.functionals import (
 from bcrbf.kernels import GaussianKernel
 from bcrbf.numerics import FLOAT64, Precision
 
-from oracles import fd_mixed_partial_f64
+from oracles import apply_to_function, fd_mixed_partial_f64
 
 MP40 = Precision("mp", 40)
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import mpmath
@@ -6,7 +7,9 @@ import pytest
 from bcrbf.benchmarks import get_example
 from bcrbf.fields import apply_functional
 from bcrbf.functionals import make_dirichlet
+from bcrbf import kansa
 from bcrbf.kansa import kansa_solve
+from bcrbf.kernels import GaussianKernel
 from bcrbf.numerics import FLOAT64, Precision
 from bcrbf.pseudospectral import (
     BoundaryCondition,
@@ -16,6 +19,8 @@ from bcrbf.pseudospectral import (
     solve,
 )
 from bcrbf.reporting import error_metrics
+
+from oracles import apply_to_function, product_kernel_partial
 
 
 def _laplace_1d(ctx):
@@ -114,6 +119,71 @@ def test_kansa_ex7_table_level():
     sol = kansa_solve(problem, (4, 4, 4), ctx.num("0.01"), ctx)
     err, _ = error_metrics(sol, problem.exact, ctx)
     assert float(err) < 1e-3  # published value 3.8223e-5
+
+
+def _per_entry_kansa_matrix(problem, grid, shape, ctx):
+    """Kansa's matrix entry by entry, with the magnitude its rounding
+    scales with: interior rows sum coeff * prod_d d^{m_d} R over the
+    operator's terms, face rows apply the face's functional to R along
+    the normal axis by its terms, times R along the other axes."""
+    k = GaussianKernel(shape, ctx)
+    counts = grid.counts
+    rows = []
+    for ii, p in zip(grid.indices(), grid.points()):
+        face = next(
+            ((d, 0 if i == 0 else 1) for d, i in enumerate(ii) if i in (0, counts[d] - 1)),
+            None,
+        )
+        row = []
+        for q in grid.points():
+            if face is None:
+                terms = [
+                    t.coeff_at(p) * product_kernel_partial([k] * len(p), t.orders, p, q)
+                    for t in problem.operator.terms
+                ]
+            else:
+                d, side = face
+                functional = problem.bcs[d][side].functional
+                rest = math.prod(k.eval(p[e], q[e]) for e in range(len(p)) if e != d)
+                terms = [
+                    apply_to_function(
+                        functional,
+                        lambda x: k.eval(x, q[d]),
+                        lambda x: k.mixed_partial(1, 0, x, q[d]),
+                    )
+                    * rest
+                ]
+            row.append((sum(terms), sum(abs(v) for v in terms)))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "ident,counts", [("ex1", (12,)), ("ex4", (5, 5)), ("ex7", (4, 4, 4))]
+)
+def test_kansa_matrix_matches_per_entry_oracle(ident, counts, monkeypatch):
+    """Kansa's matrices, built from per-axis tables and Kronecker rows,
+    match the per-entry matrix to 10^(2-D) of each entry's magnitude: in
+    2D and 3D, and in 1D with ex1's Robin faces and variable coefficients."""
+    ctx = Precision("mp", 50)
+    record = get_example(ident)
+    problem = record.make(ctx, 0.5) if record.has_eps else record.make(ctx)
+    factored = []
+    factor = kansa._factor_kernel_matrix
+
+    def captured(fctx, a, name):
+        factored.append(a)
+        return factor(fctx, a, name)
+
+    monkeypatch.setattr(kansa, "_factor_kernel_matrix", captured)
+    sol = kansa_solve(problem, counts, record.default_shape, ctx)
+    (got,) = factored
+    ref = _per_entry_kansa_matrix(problem, sol.grid, ctx.num(record.default_shape), ctx)
+    tol = mpmath.mpf(10) ** (2 - ctx.digits)
+    assert len(got) == len(ref) == sol.grid.size
+    for row, ref_row in zip(got, ref):
+        for v, (r, scale) in zip(row, ref_row):
+            assert abs(v - r) <= tol * scale
 
 
 def test_kansa_validates_counts():

@@ -22,6 +22,7 @@ from bcrbf.pseudospectral import (
     OperatorTerm,
     ProblemSpec,
     _OperationalFactors,
+    _axis_tables,
     build_evaluation_matrix,
     build_grid,
     build_operator_matrix,
@@ -32,6 +33,7 @@ from bcrbf.pseudospectral import (
 )
 
 from oracles import (
+    dense_axis_matrix,
     fd_mixed_partial_f64,
     identity,
     product_kernel_eval,
@@ -67,6 +69,12 @@ def test_build_grid_node_collision():
     # 9 interior nodes on [0, 2] place one exactly at 0.6
     with pytest.raises(NodeCollision):
         build_grid(((0.0, 2.0),), (9,), "uniform-interior", FLOAT64, avoid=[(0, 0.6)])
+
+
+def test_build_grid_uniform_inclusive():
+    g = build_grid(((0.0, 1.0), (-1.0, 1.0)), (5, 3), "uniform-inclusive", FLOAT64)
+    assert g.axes == ((0.0, 0.25, 0.5, 0.75, 1.0), (-1.0, 0.0, 1.0))
+    assert g.uniform
 
 
 def test_build_grid_validates():
@@ -180,6 +188,40 @@ def test_operator_matrix_variable_coefficient_rows():
             ref = eps * fd_mixed_partial_f64(ck.eval, 2, 0, xi, xj) + \
                 fd_mixed_partial_f64(ck.eval, 1, 0, xi, xj) / (1 + xi)
             assert al[i][j] == pytest.approx(ref, rel=1e-3, abs=1e-6)
+
+
+def _constrained_kernel(kind, ctx):
+    if kind == "robin":
+        funcs = [make_robin(1, "-0.5", 0, ctx=ctx), make_robin(1, 1, 1, ctx=ctx)]
+    else:
+        funcs = [
+            make_multipoint(0, [("0.25", "0.35"), ("0.5", "0.65")], ctx=ctx),
+            make_dirichlet(1, ctx=ctx),
+        ]
+    return impose_sequence(GaussianKernel("1.5", ctx), [f.homogeneous() for f in funcs])
+
+
+@pytest.mark.parametrize("kind", ["robin", "multipoint"])
+@pytest.mark.parametrize("scheme", ["uniform-interior", "chebyshev-interior"])
+@pytest.mark.parametrize("prec", ["mp:50", "float64"])
+def test_node_tables_equal_per_entry_mixed_partials(kind, scheme, prec):
+    """The node tables, built by ``partial_matrix`` and made dense, are the
+    per-entry mixed partials bit for bit, orders 0-2.  The oracle uses a
+    fresh kernel, so no memo is shared."""
+    ctx = Precision.parse(prec)
+    nodes = build_grid(((0, 1),), (9,), scheme, ctx).axes[0]
+    tables = _axis_tables(_constrained_kernel(kind, ctx), nodes, (0, 1, 2))
+    oracle = _constrained_kernel(kind, ctx)
+    for m in (0, 1, 2):
+        assert tables[m] == dense_axis_matrix(oracle, m, nodes, nodes)
+
+
+def test_singular_kernel_matrices_name_the_remedies():
+    problem = _trivial_problem(FLOAT64)
+    with pytest.raises(SingularMatrix, match="Kansa collocation matrix.*remedies"):
+        kansa_solve(problem, (8,), "1e-9", FLOAT64)
+    with pytest.raises(SingularMatrix, match="evaluation matrix.*remedies"):
+        solve(problem, (8,), "1e-5", FLOAT64, mode="ps")
 
 
 def test_operational_matrix_identity_and_scalar():
