@@ -29,6 +29,8 @@ digits of its base kernel's ``Precision``, in any thread (see
 
 from __future__ import annotations
 
+import mpmath
+
 from .errors import DegenerateConstraint
 from .functionals import apply_to_kernel_slot, bilinear
 from .numerics import CorrectedMatrix
@@ -100,7 +102,7 @@ def impose(kernel, functional):
     gamma = bilinear(functional, functional, kernel)
     if abs(gamma) <= ctx.tol(5):
         raise DegenerateConstraint(
-            f"bilinear denominator {float(gamma):.3e} is numerically zero "
+            f"bilinear denominator {mpmath.nstr(gamma, 4)} is numerically zero "
             f"for {functional!r}",
             gamma=gamma,
         )

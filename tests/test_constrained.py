@@ -154,6 +154,20 @@ def test_degenerate_constraint():
     assert exc.value.index == 1
 
 
+def test_degenerate_constraint_beyond_float_range():
+    """At 400 digits the tolerance 10^(5-400) lies below the smallest
+    float, and must still refuse gamma = 2c^2 = 2e-398 (a Neumann
+    functional on a Gaussian with c = 1e-199), as 150 digits refuse a
+    gamma below 10^-145."""
+    for dps, c in ((400, "1e-199"), (150, "1e-74")):
+        ctx = Precision("mp", dps)
+        assert 0 < ctx.tol(5) < ctx.num(10) ** (6 - dps)
+        with pytest.raises(DegenerateConstraint) as exc:
+            impose(GaussianKernel(ctx.num(c), ctx), make_neumann(0, 0, ctx))
+        assert exc.value.gamma > 0
+        assert "e-" in str(exc.value)
+
+
 BC_PAIRS = {
     "dirichlet": lambda ctx: [make_dirichlet(0, 0, ctx), make_dirichlet(1, 0, ctx)],
     "neumann": lambda ctx: [make_neumann(0, 0, ctx), make_neumann(1, 0, ctx)],

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import mpmath
@@ -7,6 +8,8 @@ from bcrbf.errors import SingularMatrix
 from bcrbf.numerics import (
     FLOAT64,
     Precision,
+    _affine_rows,
+    dot,
     lu_factor,
     mat_vec,
     norm_inf,
@@ -201,3 +204,106 @@ def test_cholesky_mp_reconstruction():
     gg = mat_mul(g, transpose(g))
     err = max(abs(gg[i][j] - a[i][j]) for i in range(5) for j in range(5))
     assert err < mpmath.mpf(10) ** -45
+
+
+# -- the exact inner-product kernel ------------------------------------------
+
+
+def _bits(x):
+    """The raw value of an mpf or mpc, to compare results bit for bit."""
+    return getattr(x, "_mpf_", None) or x._mpc_
+
+
+def _random_mpfs(ctx, rng, n):
+    """n full-precision numbers of ``ctx`` spread over 2^-80 .. 2^80."""
+    prec = ctx.mp.prec
+    return [
+        ctx.mp.mpf((rng.choice((-1, 1)) * rng.getrandbits(prec),
+                    rng.randint(-80, 80) - prec))
+        for _ in range(n)
+    ]
+
+
+def _affine_oracle(ctx, a, x, c):
+    """c + a x row by row as the context's fdot forms it."""
+    one = ctx.one
+    return [
+        ctx.mp.fdot(itertools.chain(((ci, one),), zip(row, x)))
+        for ci, row in zip(c, a)
+    ]
+
+
+@pytest.mark.parametrize("digits", [30, 150, 283])
+@pytest.mark.parametrize("n", [0, 1, 8, 72])
+def test_dot_is_bit_identical_to_fdot(digits, n):
+    ctx = Precision("mp", digits)
+    rng = random.Random(1000 * digits + n)
+    us, vs = _random_mpfs(ctx, rng, n), _random_mpfs(ctx, rng, n)
+    assert _bits(dot(ctx, us, vs)) == _bits(ctx.mp.fdot(us, vs))
+    # operands from a wider and from a narrower context are read as they are
+    wide = _random_mpfs(ctx.with_digits(digits + 40), rng, n)
+    narrow = _random_mpfs(ctx.with_digits(digits - 10), rng, n)
+    assert _bits(dot(ctx, wide, narrow)) == _bits(ctx.mp.fdot(wide, narrow))
+    # zeros among the operands
+    zs = [ctx.zero if i % 3 == 0 else u for i, u in enumerate(us)]
+    zv = [ctx.zero if i % 4 == 1 else v for i, v in enumerate(vs)]
+    assert _bits(dot(ctx, zs, zv)) == _bits(ctx.mp.fdot(zs, zv))
+    # generator input
+    got = dot(ctx, (u for u in us), iter(vs))
+    assert _bits(got) == _bits(ctx.mp.fdot(us, vs))
+    # c + a x, a x and c + x, each row against fdot
+    a = [_random_mpfs(ctx, rng, n) for _ in range(3)]
+    c = _random_mpfs(ctx, rng, 3)
+    assert list(map(_bits, _affine_rows(ctx, a, us, c))) == list(
+        map(_bits, _affine_oracle(ctx, a, us, c))
+    )
+    assert list(map(_bits, _affine_rows(ctx, a, us))) == [
+        _bits(ctx.mp.fdot(row, us)) for row in a
+    ]
+    one = ctx.one
+    assert list(map(_bits, _affine_rows(ctx, None, vs, c))) == [
+        _bits(ctx.mp.fdot(((ci, one), (xi, one)))) for ci, xi in zip(c, vs)
+    ]
+
+
+@pytest.mark.parametrize("digits", [30, 150])
+def test_dot_drops_terms_as_mpf_sum_does(digits):
+    """A term more than 2 prec bits below the running sum is dropped, and
+    one more than 2 prec bits above it replaces the sum, as mpmath's
+    mpf_sum does: after the cancellation below, fdot returns 0, not the
+    tiny term."""
+    ctx = Precision("mp", digits)
+    mpf, one = ctx.mp.mpf, ctx.one
+    tiny = mpf(2) ** (-3 * ctx.mp.prec)
+    ones = [one] * 3
+    for us in ([one, tiny, -one], [tiny, one, -one], [-tiny, one, tiny]):
+        expect = ctx.mp.fdot(us, ones)
+        assert _bits(dot(ctx, us, ones)) == _bits(expect)
+        c, row = us[0], us[1:]
+        assert _bits(_affine_rows(ctx, [row], ones[1:], [c])[0]) == _bits(expect)
+    # the gap also forms in the products
+    us = [mpf(2) ** 200, tiny, -mpf(2) ** 100]
+    vs = [mpf(2) ** -200, one, mpf(2) ** -100]
+    assert _bits(dot(ctx, us, vs)) == _bits(ctx.mp.fdot(us, vs))
+    assert dot(ctx, [one, tiny, -one], ones) == 0
+
+
+def test_dot_falls_back_to_fdot_for_other_operands():
+    ctx = Precision("mp", 40)
+    rng = random.Random(7)
+    us, vs = _random_mpfs(ctx, rng, 6), _random_mpfs(ctx, rng, 6)
+    for odd in (3, 0.5, ctx.mp.inf, -ctx.mp.inf, ctx.mp.nan, ctx.mp.mpc(1, 2)):
+        for k in (0, 5):
+            mixed = us[:k] + [odd] + us[k + 1:]
+            expect = _bits(ctx.mp.fdot(mixed, vs))
+            assert _bits(dot(ctx, mixed, vs)) == expect
+            assert _bits(dot(ctx, vs, mixed)) == _bits(ctx.mp.fdot(vs, mixed))
+            # an iterator restarts from its first term
+            assert _bits(dot(ctx, iter(mixed), iter(vs))) == expect
+    # 0 * inf is nan, as in fdot
+    assert ctx.mp.isnan(dot(ctx, [ctx.zero], [ctx.mp.inf]))
+
+
+def test_dot_float64_is_the_plain_sum():
+    us, vs = [0.1, 0.2, 0.3], [3.0, -1.0, 7.0]
+    assert dot(FLOAT64, us, vs) == 0.1 * 3.0 + 0.2 * -1.0 + 0.3 * 7.0
