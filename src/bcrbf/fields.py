@@ -1,11 +1,19 @@
 """Smooth functions with derivative access: boundary data and exact solutions.
 
 Everything downstream speaks one protocol: a *field* has a ``dim`` and a
-``partial(orders, p)`` method returning the mixed partial derivative of the
-given multi-order at point ``p`` (``value`` is the all-zero order).  Exact
-solutions, homogenization maps and solver solutions all implement it, so
-boundary functionals and differential operators apply to any of them
-through the same helpers.
+``partial_axes(orders, axes)`` method returning the mixed partial
+derivative of the given multi-order at every point of the tensor grid
+``axes`` (a sequence of coordinate sequences), in flat order, last axis
+fastest.  ``partial(orders, p)`` and ``value(p)`` (the all-zero order)
+evaluate the grid of 1-point axes at ``p``, so grid and pointwise values
+agree bit for bit.  Exact solutions, boundary data, homogenization maps and
+solver solutions all implement it, so boundary functionals and
+differential operators apply to any of them through the same helpers.
+Separable fields evaluate a grid from per-axis vectors (``ProductField``),
+and the other classes combine their parts' grids; only ``LambdaField``,
+defined point by point, evaluates one point at a time (``pointwise``), as
+does the error metric for an exact solution with only the per-point
+methods.
 
 Boundary *data* lives on a face and speaks the same protocol: it is a
 field over the face's tangential coordinates (``dim`` of them), with
@@ -14,6 +22,11 @@ homogenization.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
+
+from .numerics import kron
 
 
 def embed_point(tpoint, d, loc):
@@ -126,8 +139,31 @@ def fn_sum(*fns):
 # -- scalar fields ------------------------------------------------------------
 
 
+def pointwise(field, orders, axes):
+    """d^orders of ``field`` at every point of the tensor grid ``axes``, in
+    flat order, one ``partial`` call per point (``value`` for the zero
+    orders): the path of fields defined point by point."""
+    points = itertools.product(*axes)
+    if any(orders):
+        return [field.partial(orders, p) for p in points]
+    return [field.value(p) for p in points]
+
+
+def _added(vectors):
+    """The elementwise sum of equal-length vectors, added in order."""
+    out = vectors[0]
+    for vec in vectors[1:]:
+        out = [u + v for u, v in zip(out, vec)]
+    return out
+
+
 class ScalarField:
-    """Base: d-variate function with mixed-partial access."""
+    """Base: d-variate function with mixed partials on tensor grids.
+
+    A subclass defines ``partial_axes`` or, point by point, ``partial``;
+    the other follows.  ``partial`` and ``value`` wrap ``partial_axes``
+    with a grid of 1-point axes.
+    """
 
     dim = None
 
@@ -135,35 +171,41 @@ class ScalarField:
         return self.partial((0,) * self.dim, p)
 
     def partial(self, orders, p):
-        raise NotImplementedError
+        return self.partial_axes(orders, [(x,) for x in p])[0]
+
+    def partial_axes(self, orders, axes):
+        return pointwise(self, orders, axes)
 
 
 class ProductField(ScalarField):
-    """Separable field prod_d f_d(x_d); mixed partials factor per direction."""
+    """Separable field prod_d f_d(x_d); on a grid, the outer product of the
+    per-axis derivative vectors, multiplied in axis order."""
 
     def __init__(self, fns):
         self.fns = tuple(fns)
         self.dim = len(self.fns)
 
-    def partial(self, orders, p):
-        out = 1
-        for f, o, x in zip(self.fns, orders, p):
-            out *= f.deriv(x, o)
-        return out
+    def partial_axes(self, orders, axes):
+        return kron([
+            [f.deriv(x, o) for x in ax] for f, o, ax in zip(self.fns, orders, axes)
+        ])
 
 
 class SumField(ScalarField):
+    """The sum of fields, added in field order."""
+
     def __init__(self, fields):
         fields = tuple(fields)
         self.fields = fields
         self.dim = fields[0].dim
 
-    def partial(self, orders, p):
-        return sum(f.partial(orders, p) for f in self.fields)
+    def partial_axes(self, orders, axes):
+        return _added([f.partial_axes(orders, axes) for f in self.fields])
 
 
 class LambdaField(ScalarField):
-    """Field from an explicit (orders, p) -> value handler."""
+    """Field from an explicit (orders, p) -> value handler, evaluated point
+    by point."""
 
     def __init__(self, dim, handler):
         self.dim = dim
@@ -183,8 +225,8 @@ class ConstantData(ScalarField):
         self.c = c
         self.dim = dim
 
-    def partial(self, orders, p):
-        return 0 * self.c if any(orders) else self.c
+    def partial_axes(self, orders, axes):
+        return [0 * self.c if any(orders) else self.c] * math.prod(map(len, axes))
 
 
 class FieldTraceData(ScalarField):
@@ -192,9 +234,11 @@ class FieldTraceData(ScalarField):
 
     For a functional L acting in direction ``d`` on field u, the data is
     t -> L(u)(t) over the tangential coordinates; tangential derivatives
-    fall through to the field's mixed partials.  Building data this way
-    guarantees consistency between an exact solution and its boundary
-    values.
+    fall through to the field's mixed partials.  On a grid over the
+    tangential coordinates, each term evaluates the field on that grid
+    with the normal axis the 1-point axis at the term's location.
+    Building data this way guarantees consistency between an exact
+    solution and its boundary values.
     """
 
     def __init__(self, field, d, functional):
@@ -203,13 +247,14 @@ class FieldTraceData(ScalarField):
         self.terms = functional.terms
         self.dim = field.dim - 1
 
-    def partial(self, orders, tpoint):
-        total = 0
-        for t in self.terms:
-            full = embed_point(orders, self.d, t.order)
-            p = embed_point(tpoint, self.d, t.location)
-            total += t.coeff * self.field.partial(full, p)
-        return total
+    def partial_axes(self, orders, axes):
+        return _added([
+            [t.coeff * v for v in self.field.partial_axes(
+                embed_point(orders, self.d, t.order),
+                embed_point(axes, self.d, (t.location,)),
+            )]
+            for t in self.terms
+        ])
 
 
 def as_data(data, functional, dim):

@@ -24,13 +24,16 @@ terms over few distinct traces.
 
 M is evaluated on tensor grids, a single point being a grid of 1-point
 axes.  Terms are grouped by the directions their trace follows; per group
-each trace is evaluated once on the subgrid over those directions
-(memoized per derivative orders and tangential point), the coefficients
-are summed per monomial degree, and the result is contracted one swept
-direction at a time with the monomials' derivatives on the grid (mode
-products, as for the kernel expansion).  Sums are exact in mp
-(``numerics.dot``), and every grid value equals the pointwise one bit for
-bit.
+each trace is evaluated once on the subgrid over those directions by its
+data's ``partial_axes``, with a 1-point axis where it is frozen (memoized
+per derivative orders and subgrid), and the coefficients are summed per
+monomial degree.  Each group is contracted with the monomials'
+derivatives on the grid along every swept direction but its last (mode
+products, as for the kernel expansion), and the last contractions of all
+groups are folded into one exact dot per grid value
+(``numerics.mode_sum``), together with the kernel expansion's when a
+solution is evaluated.  Sums are exact in mp (``numerics.dot``), and
+every grid value equals the pointwise one bit for bit.
 
 The polynomial ansatz starts at degree 1 and escalates to 2, then 3, when
 the functional pair is singular on the lower-degree space (e.g. a pair of
@@ -52,7 +55,7 @@ import math
 
 from .errors import NoHomogenizer
 from .fields import ConstantData, as_data
-from .numerics import dot, mode_products
+from .numerics import dot, mode_sum
 
 _MAX_ANSATZ_DEGREE = 3
 
@@ -68,8 +71,8 @@ class HomogenizationMap:
     (e, (order, location)) when it is differentiated and frozen there.
     ``terms`` holds them grouped as (trace, [(coeff, powers), ...]), and
     the traces are grouped once more by the directions they follow, the
-    unit of tensor-grid evaluation (``partial_axes``).  ``value`` and
-    ``partial`` evaluate a grid of 1-point axes.
+    unit of tensor-grid evaluation (``parts``, summed by ``partial_axes``).
+    ``value`` and ``partial`` evaluate a grid of 1-point axes.
     """
 
     def __init__(self, dim, terms, ctx):
@@ -94,21 +97,27 @@ class HomogenizationMap:
 
     def partial_axes(self, orders, axes):
         """d^orders M at every point of the tensor grid ``axes``, in flat
-        order (last axis fastest).
+        order (last axis fastest): the groups' ``parts`` summed by
+        ``numerics.mode_sum``, one exact dot per grid value."""
+        return mode_sum(self.ctx, self.parts(orders, axes), [len(ax) for ax in axes])
+
+    def parts(self, orders, axes):
+        """d^orders M on the tensor grid ``axes`` as ``mode_sum`` parts
+        (vals, shape, mats), one per group of traces with a monomial left
+        under d^orders.
 
         Per group of traces following the directions T, the coefficients
         times the traces' values are summed exactly into a tensor C whose
         axis e runs over the grid's x_e for e in T and over the monomial
-        degrees k >= orders[e] otherwise.  C is then contracted along each
-        swept axis with the matrix d^o x^k at the grid's x_e (o =
-        orders[e]), the identity on T.  A trace whose monomials all vanish
-        under d^orders is not evaluated.  Coordinates are rounded to the
-        map's digits first.
+        degrees k >= orders[e] otherwise.  Its matrix along each swept
+        axis e is d^o x^k at the grid's x_e (o = orders[e]), and None on
+        T.  A trace whose monomials all vanish under d^orders is not
+        evaluated.  Coordinates are rounded to the map's digits first.
         """
         ctx = self.ctx
         orders = tuple(orders)
         axes = [[ctx.num(x) for x in ax] for ax in axes]
-        total = [ctx.zero] * math.prod(map(len, axes))
+        parts = []
         for follows, traces in self._groups:
             swept = [e for e in range(self.dim) if e not in follows]
             rows = []
@@ -141,26 +150,26 @@ class HomogenizationMap:
                     [math.perm(o + k, o) * x**k for k in range(shape[e])]
                     for x in axes[e]
                 ]
-            vals = mode_products(ctx, c, shape, mats)
-            total = [a + b for a, b in zip(total, vals)]
-        return total
+            parts.append((c, shape, mats))
+        return parts
 
     def _trace_values(self, trace, orders, axes):
         """The trace's factor at every point of the subgrid over the
-        directions it follows, in flat order, memoized per point."""
+        directions it follows, in flat order, from its data's
+        ``partial_axes`` with 1-point axes where it is frozen; memoized
+        per derivative orders and subgrid."""
         if trace is None:
             return [self.ctx.one]
         data, slots = trace
         torders = tuple(orders[e] if fixed is None else fixed[0] for e, fixed in slots)
-        coords = [axes[e] if fixed is None else (fixed[1],) for e, fixed in slots]
-        out = []
-        for tpoint in itertools.product(*coords):
-            key = (data, torders, tpoint)
-            val = self._memo.get(key)
-            if val is None:
-                val = self._memo[key] = data.partial(torders, tpoint)
-            out.append(val)
-        return out
+        coords = tuple(
+            tuple(axes[e]) if fixed is None else (fixed[1],) for e, fixed in slots
+        )
+        key = (data, torders, coords)
+        vals = self._memo.get(key)
+        if vals is None:
+            vals = self._memo[key] = data.partial_axes(torders, coords)
+        return vals
 
     @classmethod
     def zero(cls, dim, ctx):

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from .functionals import apply_to_kernel_slot
 from .kernels import GaussianKernel
+from .numerics import kron
 from .pseudospectral import (
     Solution,
     _all_tables,
     _factor_kernel_matrix,
-    _kron_row,
     _operator_row,
     build_grid,
 )
@@ -71,7 +71,7 @@ def kansa_solve(problem, counts, shape, ctx):
             rhs.append(ctx.num(problem.rhs(p)))
         else:
             d, side = face
-            rows.append(_kron_row([
+            rows.append(kron([
                 face_vectors[face] if e == d else tables[e][0][ii[e]]
                 for e in range(dim)
             ]))

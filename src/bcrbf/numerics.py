@@ -336,6 +336,42 @@ class CorrectedMatrix:
         return out
 
 
+def kron(vectors):
+    """The Kronecker product of vectors, in flat order (last fastest):
+    entry j is prod_d vectors[d][j_d], multiplied in axis order from the
+    first vector's entry on.  No vectors give [1]."""
+    if not vectors:
+        return [1]
+    out = list(vectors[0])
+    for vec in vectors[1:]:
+        out = [u * v for u in out for v in vec]
+    return out
+
+
+def _axis_rows(mat, shape, n):
+    """The rows ``mode_products`` applies along an axis of n nodes of an
+    array of ``shape``, and the fiber extension that goes with them
+    (None for a plain matrix)."""
+    if not isinstance(mat, CorrectedMatrix):
+        return mat, None
+    if math.prod(shape) >= n * n:
+        return mat.dense(), None
+    return mat.rows, mat.extend
+
+
+def _fibers(vals, shape, e):
+    """The fibers of the flat array ``vals`` of ``shape`` along axis e:
+    for each index of the axes before e, in flat order, one list per index
+    of the axes after it, also in flat order."""
+    n = shape[e]
+    inner = math.prod(shape[e + 1:])
+    out = []
+    for o in range(len(vals) // (n * inner)):
+        block = vals[o * n * inner:(o + 1) * n * inner]
+        out.extend(block[r::inner] for r in range(inner))
+    return out
+
+
 def mode_products(ctx, vals, shape, mats):
     """The n_0 x ... x n_{d-1} array ``vals`` (flat, last axis fastest)
     multiplied along each axis e by ``mats[e]``, an m_e x n_e matrix given
@@ -357,29 +393,74 @@ def mode_products(ctx, vals, shape, mats):
     own rows of the matrices and the fibers only, so contracting with fewer
     rows, down to 1-row matrices for a single point, gives the same bits.
     """
-    outer, inner = 1, len(vals)
-    for n, mat in zip(shape, mats):
-        inner //= n
+    outer = 1
+    size = list(shape)
+    for e, (n, mat) in enumerate(zip(shape, mats)):
         if mat is None:
             outer *= n
             continue
-        extend = None
-        if isinstance(mat, CorrectedMatrix):
-            if math.prod(shape) >= n * n:
-                mat = mat.dense()
-            else:
-                mat, extend = mat.rows, mat.extend
-        out = []
+        rows, extend = _axis_rows(mat, shape, n)
+        cols = _fibers(vals, size, e)
+        if extend is not None:
+            cols = [extend(col) for col in cols]
+        inner = len(cols) // outer
+        vals = []
         for o in range(outer):
-            block = vals[o * n * inner:(o + 1) * n * inner]
-            cols = [block[r::inner] for r in range(inner)]
-            if extend is not None:
-                cols = [extend(col) for col in cols]
-            for row in mat:
-                out.extend(dot(ctx, row, col) for col in cols)
-        vals = out
-        outer *= len(mat)
+            block = cols[o * inner:(o + 1) * inner]
+            for row in rows:
+                vals.extend(dot(ctx, row, col) for col in block)
+        size[e] = len(rows)
+        outer *= len(rows)
     return vals
+
+
+def mode_sum(ctx, parts, shape):
+    """The sum over ``parts`` of ``mode_products(ctx, vals, n, mats)``, an
+    array of ``shape`` in flat order, with each output entry one ``dot``.
+
+    A part (vals, n, mats) has at least one matrix.  It is contracted by
+    ``mode_products`` along every axis with a matrix but its last one, a;
+    axes after a have none and keep their sizes.  The contractions along
+    a are then folded, for all parts together, into a single dot per
+    output entry: the entry at index i sums, over the parts, row i_a of
+    the part's matrix along a times the part's fiber along a through i's
+    other indices, exactly, and is rounded once.  This replaces rounding
+    each part's values and adding them.  A CorrectedMatrix along a follows
+    ``mode_products``' rule, by the part's own n alone, and is applied by
+    its factors with each fiber extended once.
+
+    Every entry reads its own point's rows of the matrices only, and the
+    terms of its dot come in the same order for any grid, so a grid of
+    1-point axes gives the same bits as a larger one.
+    """
+    folds = {}  # fold axis -> (rows along it, fibers through the other indices)
+    for vals, n, mats in parts:
+        a = max(e for e, mat in enumerate(mats) if mat is not None)
+        vals = mode_products(ctx, vals, n, [*mats[:a], *[None] * (len(n) - a)])
+        rows, extend = _axis_rows(mats[a], n, n[a])
+        size = [*shape[:a], *n[a:]]
+        fibers = _fibers(vals, size, a)
+        if extend is not None:
+            fibers = [extend(f) for f in fibers]
+        if a in folds:
+            old_rows, old_fibers = folds[a]
+            rows = [[*u, *v] for u, v in zip(old_rows, rows)]
+            fibers = [[*u, *v] for u, v in zip(old_fibers, fibers)]
+        folds[a] = (rows, fibers)
+    total = math.prod(shape)
+    if not folds:
+        return [ctx.zero] * total
+    plan = [(rows, fibers, math.prod(shape[a + 1:]), shape[a])
+            for a, (rows, fibers) in folds.items()]
+    out = []
+    for j in range(total):
+        us, vs = [], []
+        for rows, fibers, inner, m in plan:
+            q, r = divmod(j, inner)
+            us += rows[q % m]
+            vs += fibers[q // m * inner + r]
+        out.append(dot(ctx, us, vs))
+    return out
 
 
 def _minus_dot(ctx, s, us, vs):

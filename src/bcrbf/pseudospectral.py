@@ -25,7 +25,8 @@ plain solve.
 
 A and A_L are assembled from per-axis node tables, each formed once by
 the kernel's ``partial_matrix``, and every row is a Kronecker product of
-table rows (``_kron_row``), or a sum of them over the operator's terms.
+table rows (``numerics.kron``), or a sum of them over the operator's
+terms.
 Kansa's baseline (``kansa``) builds its system the same way.
 
 Boundary nodes are excluded by construction: with boundary-condition-
@@ -53,8 +54,9 @@ from .numerics import (
     REFINE_GUARD,
     CorrectedMatrix,
     LUFactorization,
+    kron,
     lu_factor,
-    mode_products,
+    mode_sum,
     norm_1,
     refine,
 )
@@ -275,22 +277,19 @@ def _all_tables(kernels, grid, operator):
     ]
 
 
-def _kron_row(vectors):
-    """The Kronecker product of per-axis row vectors, in flat order: entry
-    j is prod_d vectors[d][j_d], multiplied in axis order.  Every system
-    row is one of these or a sum of them."""
-    return [math.prod(entries) for entries in itertools.product(*vectors)]
-
-
 def _operator_row(tables, terms, ii, p):
     """Row of the operator collocated at node ii, point p: the sum over
     terms of coeff(p) times the Kronecker product of the table rows
-    T_d^{m_d}[i_d], added term by term."""
-    row = itertools.repeat(0)
+    T_d^{m_d}[i_d] (``numerics.kron``), added term by term.  A unit
+    coefficient multiplies nothing, and the sum starts from the first
+    term: neither step could change a bit."""
+    row = None
     for t in terms:
         c = t.coeff_at(p)
-        prods = _kron_row([tab[m][i] for tab, m, i in zip(tables, t.orders, ii)])
-        row = [v + c * e for v, e in zip(row, prods)]
+        prods = kron([tab[m][i] for tab, m, i in zip(tables, t.orders, ii)])
+        if c != 1:
+            prods = [c * e for e in prods]
+        row = prods if row is None else [v + e for v, e in zip(row, prods)]
     return row
 
 
@@ -298,7 +297,7 @@ def build_evaluation_matrix(grid, kernels, tables=None):
     """A[i][j] = prod_d kernel_d(node_i_d, node_j_d); symmetric by construction."""
     if tables is None:
         tables = _all_tables(kernels, grid, None)
-    return [_kron_row([t[0][i] for t, i in zip(tables, ii)]) for ii in grid.indices()]
+    return [kron([t[0][i] for t, i in zip(tables, ii)]) for ii in grid.indices()]
 
 
 def build_operator_matrix(grid, kernels, operator, tables=None):
@@ -382,8 +381,9 @@ def _cond_a(ctx, tables):
 class Solution:
     """Coefficient vector + per-direction kernels + homogenization map.
 
-    ``partial(orders, p)`` differentiates the expansion analytically, so
-    boundary functionals apply to a Solution exactly like to any field.
+    ``partial_axes(orders, axes)`` differentiates the expansion
+    analytically on a tensor grid, and ``partial(orders, p)`` at a point,
+    so boundary functionals apply to a Solution exactly like to any field.
     """
 
     def __init__(self, ctx, grid, kernels, lam, hom, nodal=None, diagnostics=None):
@@ -405,6 +405,9 @@ class Solution:
     def evaluate(self, p):
         return self.partial((0,) * self.dim, p)
 
+    def partial_axes(self, orders, axes):
+        return self._expand(tuple(orders), axes)
+
     def evaluate_axes(self, axes):
         """Values on a tensor grid of points, flattened lexicographically."""
         return self._expand((0,) * self.dim, axes)
@@ -414,23 +417,25 @@ class Solution:
         ``axes``, in flat order.
 
         lam, an n_0 x ... x n_{d-1} array in flat order, is contracted one
-        axis at a time with that axis's kernel matrix, m_d x n_d
-        (``numerics.mode_products``), and M's values on the same grid are
-        added.  A single point is a grid of 1-point axes.  Coordinates are
-        rounded to the solution's digits first.
+        axis at a time with that axis's kernel matrix, m_d x n_d, and M's
+        parts on the same grid are contracted with their monomials
+        (``HomogenizationMap.parts``).  ``numerics.mode_sum`` folds the
+        last contraction of the expansion and of every part of M into one
+        exact dot per grid value, rounded once.  A single point is a grid
+        of 1-point axes.  Coordinates are rounded to the solution's digits
+        first.
 
         A constrained kernel's matrix is the Gaussian's, G, minus the
         low-rank part Phi Gamma^-1 Psi^T of its r <= 2 corrections
         (``partial_matrix``).  Along an axis with more nodes than the
         other axes hold together, always in 1D, it is applied by its
         factors, K lam = G lam - Phi (Gamma^-1 Psi^T lam): the r
-        coefficients are carried at D + 10 digits and every output entry
-        is one exact dot rounded once at D.  Along the other axes its
-        m_d x n_d entries are formed once instead (see
-        ``numerics.mode_products``).  On uniform grids the rows of G
-        come from a two-term recurrence along the nodes (see
-        ``kernels.GaussianKernel``).  Each entry depends on its own point
-        only, so grid and pointwise values agree bit for bit.
+        coefficients are carried at D + 10 digits and enter the dots as
+        they are.  Along the other axes its m_d x n_d entries are formed
+        once instead (see ``numerics.mode_products``).  On uniform grids
+        the rows of G come from a two-term recurrence along the nodes
+        (see ``kernels.GaussianKernel``).  Each entry depends on its own
+        point only, so grid and pointwise values agree bit for bit.
         """
         ctx = self.ctx
         axes = [[ctx.num(x) for x in pts] for pts in axes]
@@ -439,10 +444,10 @@ class Solution:
             k.partial_matrix(m, pts, nodes, uniform)
             for k, m, pts, nodes in zip(self.kernels, orders, axes, self.grid.axes)
         ]
-        vals = mode_products(ctx, self.lam, self.grid.counts, mats)
+        parts = [(self.lam, self.grid.counts, mats)]
         if self.hom is not None:
-            vals = [v + m for v, m in zip(vals, self.hom.partial_axes(orders, axes))]
-        return vals
+            parts += self.hom.parts(orders, axes)
+        return mode_sum(ctx, parts, [len(pts) for pts in axes])
 
     def boundary_residual(self, d, side, problem, tpoint=()):
         bc = problem.bcs[d][side]

@@ -19,7 +19,7 @@ from bcrbf.numerics import (
     check_finite,
     lu_factor,
     max_abs,
-    mode_products,
+    mode_sum,
     transpose,
 )
 
@@ -242,15 +242,16 @@ def dense_axis_matrix(kernel, m, pts, nodes):
 
 def per_entry_expansion(sol, orders, axes):
     """d^orders of a Solution on the tensor grid ``axes`` from its per-axis
-    kernel matrices formed entry by entry, contracted by ``mode_products``,
-    plus the homogenization map.  Returns the values and the matrices."""
+    kernel matrices formed entry by entry, contracted with the parts of the
+    homogenization map by ``mode_sum``.  Returns the values and the
+    matrices."""
     ctx = sol.ctx
     axes = [[ctx.num(x) for x in pts] for pts in axes]
     mats = [
         dense_axis_matrix(k, m, pts, nodes)
         for k, m, pts, nodes in zip(sol.kernels, orders, axes, sol.grid.axes)
     ]
-    vals = mode_products(ctx, sol.lam, sol.grid.counts, mats)
+    parts = [(sol.lam, sol.grid.counts, mats)]
     if sol.hom is not None:
-        vals = [v + h for v, h in zip(vals, sol.hom.partial_axes(orders, axes))]
-    return vals, mats
+        parts += sol.hom.parts(orders, axes)
+    return mode_sum(ctx, parts, [len(pts) for pts in axes]), mats

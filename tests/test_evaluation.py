@@ -58,10 +58,10 @@ def test_recurrence_rows_match_exp(nodes):
 
 def test_chebyshev_axes_evaluate_entry_by_entry():
     """Chebyshev nodes keep one exp per entry.  In 1D each value is one
-    exact dot of the per-entry Gaussian row and the correction traces
-    d^m phi_k(x) with lam and the coefficients -psi_k . lam / gamma_k,
-    carried at D + 10 digits: bit for bit, orders 0-2 on the 201-point
-    grid."""
+    exact dot of the per-entry Gaussian row, the correction traces
+    d^m phi_k(x) and the map's monomial row with lam, the coefficients
+    -psi_k . lam / gamma_k, carried at D + 10 digits, and the map's
+    coefficients: bit for bit, orders 0-2 on the 201-point grid."""
     sol = _solution("ex1", (72,), 150, "direct", "chebyshev-interior")
     ctx, (kernel,), (nodes,) = sol.ctx, sol.kernels, sol.grid.axes
     assert isinstance(kernel, ConstrainedKernel) and not sol.grid.uniform
@@ -73,10 +73,15 @@ def test_chebyshev_axes_evaluate_entry_by_entry():
     ]
     for m in (0, 1, 2):
         gauss = dense_axis_matrix(kernel.base, m, pts, nodes)
-        hom = sol.hom.partial_axes((m,), [pts])
+        parts = sol.hom.parts((m,), [pts])
+        hom_coeffs = [v for c, _, _ in parts for v in c]
         ref = [
-            ctx.mp.fdot(row + [c.phi.deriv(x, m) for c in kernel.corrections], ext) + h
-            for row, x, h in zip(gauss, pts, hom)
+            ctx.mp.fdot(
+                row + [c.phi.deriv(x, m) for c in kernel.corrections]
+                + [v for _, _, (mat,) in parts for v in mat[i]],
+                ext + hom_coeffs,
+            )
+            for i, (row, x) in enumerate(zip(gauss, pts))
         ]
         assert sol._expand((m,), [pts]) == ref
 
@@ -104,7 +109,8 @@ CASES = [
 @pytest.mark.parametrize("ident,counts,dps,method,orders_list", CASES)
 def test_evaluation_matches_per_entry_oracle(ident, counts, dps, method, orders_list):
     """Evaluation agrees with the per-entry kernel matrices contracted by
-    mode_products to 10^(5-D) sum|lam| prod_d max|K_d| on the error grid."""
+    mode_sum with the map to 10^(5-D) sum|lam| prod_d max|K_d| on the error
+    grid."""
     sol = _solution(ident, counts, dps, method)
     ctx = sol.ctx
     axes = evaluation_axes(sol.grid.domain, ctx)

@@ -9,6 +9,7 @@ from bcrbf.numerics import FLOAT64, Precision
 from bcrbf.reporting import (
     CSV_COLUMNS,
     RunReport,
+    _sci,
     emit,
     evaluation_axes,
     grid_label,
@@ -71,6 +72,19 @@ def test_markdown_round_trips_csv_numbers():
     md_lines = emit(reps, "markdown").strip().split("\n")[2:]
     md_rows = [[c.strip() for c in line.strip("|").split("|")] for line in md_lines]
     assert csv_rows == md_rows
+
+
+def test_sci_keeps_its_shape_beyond_the_float_range():
+    """At mp:400 a value above or below the float range prints in %.5e's
+    shape, from its own digits, not as inf or 0."""
+    ctx = Precision("mp", 400)
+    assert _sci(ctx.num(10) ** 350) == "1.00000e+350"
+    assert _sci(-3 * ctx.num(10) ** -350) == "-3.00000e-350"
+    assert _sci(ctx.num("1.234567e-320")) == "1.23457e-320"  # a float subnormal
+    assert _sci(ctx.num("2.5e-5")) == f"{2.5e-5:.5e}" == "2.50000e-05"
+    assert _sci(ctx.zero) == "0.00000e+00"
+    assert _sci(ctx.num("inf")) == "inf"
+    assert _sci(float("nan")) == "nan"
 
 
 def test_evaluation_axes_at_the_context_digits():
