@@ -13,14 +13,17 @@ never expanded symbolically, and every correction trace carries analytic
 derivative access (differentiating the underlying kernel's mixed
 partials, never numeric differentiation).
 
-Entry by entry (``mixed_partial``) a kernel costs one base-kernel entry
-plus one product per correction.  Over points xs and nodes y_j
+Entry by entry (``mixed_partial``) a kernel is its base entry plus, per
+correction, phi_k(x) times the scaled right factor -psi_k(y) / gamma_k
+(rounded once with ten guard digits), summed exactly and rounded once
+(``numerics.corrected_entry``).  Over points xs and nodes y_j
 (``partial_matrix``) it is the base kernel's matrix minus the low-rank
 part Phi diag(gamma)^-1 Psi^T, Phi[x][k] = d^m phi_k(x) and
 Psi[j][k] = psi_k(y_j), kept as those factors (``numerics.
 CorrectedMatrix``): the corrections cost O(#points + #nodes) trace
 values, and are applied to the coefficients of an expansion instead of
-to every entry.
+to every entry.  Made dense, its entries are ``mixed_partial``'s, bit
+for bit, with each scaled right factor formed once per node.
 
 A ConstrainedKernel is immutable after construction and computes at the
 digits of its base kernel's ``Precision``, in any thread (see
@@ -33,7 +36,7 @@ import mpmath
 
 from .errors import DegenerateConstraint
 from .functionals import apply_to_kernel_slot, bilinear
-from .numerics import CorrectedMatrix
+from .numerics import CorrectedMatrix, corrected_entry, correction_scales
 
 
 class RankOneCorrection:
@@ -67,10 +70,16 @@ class ConstrainedKernel:
         return self.mixed_partial(0, 0, x, y)
 
     def mixed_partial(self, m, n, x, y):
-        val = self.base.mixed_partial(m, n, x, y)
-        for corr in self.corrections:
-            val -= corr.phi.deriv(x, m) * corr.psi.deriv(y, n) / corr.gamma
-        return val
+        corrs = self.corrections
+        scales = correction_scales(
+            self.ctx, [c.psi.deriv(y, n) for c in corrs], [c.gamma for c in corrs]
+        )
+        return corrected_entry(
+            self.ctx,
+            self.base.mixed_partial(m, n, x, y),
+            [c.phi.deriv(x, m) for c in corrs],
+            scales,
+        )
 
     def partial_matrix(self, m, xs, nodes, uniform):
         """d^m/dx^m of the kernel over xs x nodes: the base kernel's rows

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import mpmath
+from mpmath.libmp import repr_dps
 
 from .errors import InvalidFunctional
 from .numerics import FLOAT64
@@ -179,6 +180,9 @@ def bilinear(l1, l2, kernel):
 
 
 def _fmt_num(x):
+    """x as text that parses back to x: an integer as one, a float by its
+    repr, an mpf with the digits that identify it at its own context's
+    precision."""
     try:
         if x == int(x):
             return str(int(x))
@@ -186,7 +190,7 @@ def _fmt_num(x):
         pass
     if isinstance(x, float):
         return repr(x)
-    return mpmath.nstr(x, 17, strip_zeros=True)
+    return mpmath.nstr(x, repr_dps(x.context.prec), strip_zeros=True)
 
 
 def format_functional(functional):

@@ -101,19 +101,31 @@ class GaussianKernel:
 
         On equally spaced nodes in mp, the Gaussians of a row come from
         ``_uniform_rows``: two exps per row instead of one per entry.
-        Otherwise every entry is exactly ``mixed_partial(m, 0, x, y)``.
+        Otherwise every entry is exactly ``mixed_partial(m, 0, x, y)``,
+        formed once per distinct offset x - y of the call: a node grid's
+        n^2 entries share far fewer offsets.
         """
         _check_orders(m, 0)
         if uniform and self.ctx.mode == "mp":
             gauss = self._uniform_rows(xs, nodes)
-        else:
-            gauss = [[self._gauss(x - y) for y in nodes] for x in xs]
-        if m == 0:
-            return gauss
-        return [
-            [self._scaled(m, 0, x - y, e) for y, e in zip(nodes, row)]
-            for x, row in zip(xs, gauss)
-        ]
+            if m == 0:
+                return gauss
+            return [
+                [self._scaled(m, 0, x - y, e) for y, e in zip(nodes, row)]
+                for x, row in zip(xs, gauss)
+            ]
+        values = {}
+        rows = []
+        for x in xs:
+            row = []
+            for y in nodes:
+                d = x - y
+                v = values.get(d)
+                if v is None:
+                    v = values[d] = self._scaled(m, 0, d, self._gauss(d))
+                row.append(v)
+            rows.append(row)
+        return rows
 
     def _uniform_rows(self, xs, nodes):
         """[exp(-c^2 (x - y_j)^2) for y_j in nodes] for x in xs, for nodes

@@ -15,20 +15,22 @@ two contexts meet, an operation rounds at the context of its left operand
 converts on entry.
 
 Every exact mp sum -- the LU's Crout dots and triangular solves, the
-refinement residuals, the mode products, the correction coefficients and
-the homogenization map's trace sums -- is one kernel, ``dot``.  It forms
-each product exactly from the raw mantissas and exponents of its
-operands, at whatever digits they carry, adds them in fixed point and
-rounds once at the digits of its context.  Its results are bit-identical
-to mpmath's ``fdot`` on the same operands, at about half the cost per
-term at 100-150 digits, and it needs no converted copies of them.
+refinement residuals, the mode products and sums, the correction
+coefficients, the corrected kernel entries and the homogenization map's
+trace sums -- is one kernel, ``dot``.  It forms each product exactly from
+the raw mantissas and exponents of its operands, at whatever digits they
+carry, adds them in fixed point and rounds once at the digits of its
+context.  Its results are bit-identical to mpmath's ``fdot`` on the same
+operands, at about half the cost per term at 100-150 digits, and it
+needs no converted copies of them.
 
 mp digit counts differ inside a computation where a D-digit answer needs
 wider intermediates: ``refine`` factors at D plus guard digits and
 carries residuals and the refined solution at more digits still, then
 the caller rounds the result back to D; a ``CorrectedMatrix`` carries its
-correction coefficients at D + 10 digits, and ``kernels.GaussianKernel``
-runs its row recurrence with guard digits.
+correction coefficients, and a corrected kernel entry its scaled right
+factors, at D + 10 digits; and ``kernels.GaussianKernel`` runs its row
+recurrence with guard digits.
 
 Matrices are row-major lists of lists of scalars of one mode.  Contexts
 are never changed after they are made, so computations may run in
@@ -169,7 +171,7 @@ class Precision:
 
     @property
     def one(self):
-        return self.num(1)
+        return 1.0 if self.mode == "float64" else self.mp.one
 
     def __repr__(self):
         if self.mode == "float64":
@@ -289,6 +291,26 @@ def dot(ctx, us, vs):
     return mp.fdot(us, vs)
 
 
+def correction_scales(ctx, qs, gammas):
+    """The scaled right factors s_k = -(q_k / gamma_k) of one node, each
+    rounded once at D + 10 digits (``ctx`` at D digits), for q_k = psi_k
+    at the node: the quotient's rounding stays ten digits below the
+    entry's.  float64 has no wider format: there they are float64
+    quotients."""
+    work = ctx.with_digits(ctx.digits + _WORK_GUARD)
+    return [-(work.num(q) / g) for q, g in zip(qs, gammas)]
+
+
+def corrected_entry(ctx, b, ps, ss):
+    """b + sum_k ps[k] ss[k]: one entry of a constrained kernel from its
+    base entry b, its left correction factors ps and the scaled right
+    factors ss (``correction_scales``), as one exact ``dot`` rounded once
+    at the digits of ``ctx``.  ``ConstrainedKernel.mixed_partial`` and
+    ``CorrectedMatrix.dense`` both form their entries here, so a dense
+    table is the per-entry kernel bit for bit."""
+    return dot(ctx, (b, *ps), (ctx.one, *ss))
+
+
 class CorrectedMatrix:
     """The m x n matrix B - P diag(gamma)^-1 Q^T, B minus r rank-one
     corrections, kept as its factors: ``rows`` are the m rows of [B | P]
@@ -323,16 +345,17 @@ class CorrectedMatrix:
         return [*x, *coeffs]
 
     def dense(self):
-        """The matrix entry by entry, B_ij - P_ik Q_kj / gamma_k for each k
-        in turn, rounded at each step as ``ConstrainedKernel.mixed_partial``
-        rounds."""
+        """The matrix entry by entry.  The scaled right factors
+        s_kj = -(Q_kj / gamma_k) are formed once per node, and entry ij is
+        ``corrected_entry``: B_ij + sum_k P_ik s_kj, summed exactly and
+        rounded once, as ``ConstrainedKernel.mixed_partial`` forms it."""
+        ctx = self.ctx
         n = len(self.right[0])
+        scales = [correction_scales(ctx, qs, self.gammas) for qs in zip(*self.right)]
         out = []
         for row in self.rows:
-            entries = row[:n]
-            for p, q, g in zip(row[n:], self.right, self.gammas):
-                entries = [v - p * qj / g for v, qj in zip(entries, q)]
-            out.append(entries)
+            ps = row[n:]
+            out.append([corrected_entry(ctx, b, ps, ss) for b, ss in zip(row, scales)])
         return out
 
 

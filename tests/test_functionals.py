@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcrbf.errors import InvalidFunctional
 from bcrbf.functionals import (
@@ -186,6 +188,68 @@ def test_text_form_spec_example():
     assert L.kind == "robin"
     assert L.terms[1].coeff == -0.03125
     assert L.rhs == 1.0
+
+
+def test_text_form_round_trips_at_mp_digits():
+    """An mpf is printed with the digits of its own precision, so a
+    coefficient that no short decimal gives (1/3 at 50 digits) survives
+    the round trip."""
+    ctx = Precision("mp", 50)
+    L = parse_functional("robin 1 -1/3 @0 = 1", ctx)
+    assert L.terms[1].coeff == -ctx.num(1) / 3
+    back = parse_functional(format_functional(L), ctx)
+    assert [t.coeff for t in back.terms] == [t.coeff for t in L.terms]
+
+
+def _numbers(ctx):
+    """Finite numbers of ``ctx``: floats as drawn, mp numbers as quotients
+    p/q scaled by 10^k, rounded once at the context's digits."""
+    if ctx.mode == "float64":
+        return st.floats(allow_nan=False, allow_infinity=False)
+    return st.builds(
+        lambda p, q, k: ctx.num(p) / q * ctx.num(10) ** k,
+        st.integers(-(10**60), 10**60),
+        st.integers(1, 10**60),
+        st.integers(-40, 40),
+    )
+
+
+@st.composite
+def _functionals(draw, ctx):
+    num = _numbers(ctx)
+    kind = draw(st.sampled_from(["dirichlet", "neumann", "robin", "multipoint"]))
+    rhs = draw(num)
+    if kind == "dirichlet":
+        return make_dirichlet(draw(num), rhs, ctx)
+    if kind == "neumann":
+        return make_neumann(draw(num), rhs, ctx)
+    if kind == "robin":
+        alpha, beta = draw(
+            st.tuples(num, num).filter(lambda ab: ab[0] != 0 or ab[1] != 0)
+        )
+        return make_robin(alpha, beta, draw(num), rhs, ctx)
+    locs = sorted(draw(st.lists(num, min_size=2, max_size=4, unique=True)))
+    alphas = draw(st.lists(num, min_size=len(locs) - 1, max_size=len(locs) - 1))
+    return make_multipoint(locs[0], list(zip(alphas, locs[1:])), rhs, ctx)
+
+
+@pytest.mark.parametrize("prec", ["float64", "mp:50"])
+def test_text_form_round_trip_property(prec):
+    """parse_functional inverts format_functional for drawn coefficients,
+    locations and right-hand sides of every kind, bit for bit."""
+    ctx = Precision.parse(prec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_functionals(ctx))
+    def check(L):
+        back = parse_functional(format_functional(L), ctx)
+        assert back.kind == L.kind
+        assert back.rhs == L.rhs
+        assert [(t.coeff, t.order, t.location) for t in back.terms] == [
+            (t.coeff, t.order, t.location) for t in L.terms
+        ]
+
+    check()
 
 
 def test_parse_errors():

@@ -3,9 +3,11 @@ import math
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import from_rational
 
 from bcrbf.benchmarks import get_example
 from bcrbf.constrained import impose, impose_sequence
@@ -214,6 +216,81 @@ def test_node_tables_equal_per_entry_mixed_partials(kind, scheme, prec):
     oracle = _constrained_kernel(kind, ctx)
     for m in (0, 1, 2):
         assert tables[m] == dense_axis_matrix(oracle, m, nodes, nodes)
+
+
+def _exact(v):
+    """The value of an mpf as an exact fraction."""
+    sign, man, exp, _ = v._mpf_
+    return Fraction((-1) ** sign * man) * Fraction(2) ** exp
+
+
+def _round(ctx, q):
+    """The fraction q rounded once to the nearest number of ``ctx``."""
+    return ctx.mp.make_mpf(
+        from_rational(q.numerator, q.denominator, ctx.mp.prec, "n")
+    )
+
+
+@pytest.mark.parametrize("kind", ["robin", "multipoint"])
+@pytest.mark.parametrize("scheme", ["uniform-interior", "chebyshev-interior"])
+def test_dense_tables_round_each_entry_once(kind, scheme):
+    """Every entry of a dense node table, orders 0-2 at mp:50, is the
+    50-digit base entry B_ij plus the 50-digit left factors P_ik times the
+    scaled right factors s_kj = -(Q_kj / gamma_k), each rounded once at 60
+    digits, summed exactly and rounded once at 50 digits."""
+    ctx = Precision("mp", 50)
+    work = ctx.with_digits(60)
+    nodes = build_grid(((0, 1),), (9,), scheme, ctx).axes[0]
+    kernel = _constrained_kernel(kind, ctx)
+    tables = _axis_tables(kernel, nodes, (0, 1, 2))
+    for m in (0, 1, 2):
+        mat = kernel.partial_matrix(m, nodes, nodes, False)
+        n = len(nodes)
+        scales = [
+            [_round(work, -_exact(q) / _exact(g)) for q in qs]
+            for qs, g in zip(mat.right, mat.gammas)
+        ]
+        expected = [
+            [
+                _round(ctx, _exact(row[j]) + sum(
+                    _exact(p) * _exact(ss[j]) for p, ss in zip(row[n:], scales)
+                ))
+                for j in range(n)
+            ]
+            for row in mat.rows
+        ]
+        assert tables[m] == expected
+
+
+def test_node_tables_cost_their_distinct_offsets(monkeypatch):
+    """The node tables of ex1 at N = 72 and mp:150 form one base entry per
+    distinct offset x_i - x_j and order, not one per entry.  The correction
+    traces are evaluated (and memoized) by a first build, so the second
+    build's calls are the tables' own."""
+    ctx = Precision("mp", 150)
+    problem = get_example("ex1").make(ctx, 0.5)
+    kernel = impose_sequence(
+        GaussianKernel(ctx.num("0.18"), ctx),
+        [bc.functional.homogeneous() for bc in problem.bcs[0]],
+    )
+    nodes = build_grid(
+        problem.domain, (72,), "uniform-interior", ctx,
+        avoid=problem.support_locations(),
+    ).axes[0]
+    offsets = len({x - y for x in nodes for y in nodes})
+    assert offsets < len(nodes) ** 2 // 10
+    _axis_tables(kernel, nodes, (0, 1, 2))
+    calls = {0: 0, 1: 0, 2: 0}
+    scaled = GaussianKernel._scaled
+
+    def counting(self, m, n, delta, e):
+        calls[m + n] += 1
+        return scaled(self, m, n, delta, e)
+
+    monkeypatch.setattr(GaussianKernel, "_scaled", counting)
+    _axis_tables(kernel, nodes, (0, 1, 2))
+    assert calls[1] == calls[2] == offsets
+    assert calls[0] <= offsets
 
 
 def test_singular_kernel_matrices_name_the_remedies():
