@@ -135,6 +135,8 @@ def main(argv=None):
         parser.error(f"{args.example} takes no --eps parameter")
 
     if args.command == "solve":
+        if args.shape <= 0:
+            parser.error("need --shape > 0")
         methods = (
             ("constrained", "kansa") if args.method == "both" else (args.method,)
         )
@@ -148,6 +150,8 @@ def main(argv=None):
     else:
         if args.shape_min <= 0 or args.shape_max < args.shape_min:
             parser.error("need 0 < --shape-min <= --shape-max")
+        if args.steps < 1:
+            parser.error("need --steps >= 1")
         reports = run_sweep(
             args.example, args.method, args.n, args.shape_min, args.shape_max,
             args.steps, precision, eps=args.eps, mode=args.mode,

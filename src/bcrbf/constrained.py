@@ -35,7 +35,7 @@ from __future__ import annotations
 import mpmath
 
 from .errors import DegenerateConstraint
-from .functionals import apply_to_kernel_slot, bilinear
+from .functionals import KernelTrace, bilinear
 from .numerics import CorrectedMatrix, corrected_entry, correction_scales
 
 
@@ -115,8 +115,8 @@ def impose(kernel, functional):
             f"for {functional!r}",
             gamma=gamma,
         )
-    phi = apply_to_kernel_slot(functional, kernel, "second")  # function of x
-    psi = apply_to_kernel_slot(functional, kernel, "first")  # function of y
+    phi = KernelTrace(kernel, functional, "second")  # function of x
+    psi = KernelTrace(kernel, functional, "first")  # function of y
     corr = RankOneCorrection(phi, psi, gamma)
     if isinstance(kernel, ConstrainedKernel):
         return ConstrainedKernel(

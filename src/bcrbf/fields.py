@@ -1,19 +1,24 @@
 """Smooth functions with derivative access: boundary data and exact solutions.
 
-Everything downstream speaks one protocol: a *field* has a ``dim`` and a
-``partial_axes(orders, axes)`` method returning the mixed partial
-derivative of the given multi-order at every point of the tensor grid
-``axes`` (a sequence of coordinate sequences), in flat order, last axis
-fastest.  ``partial(orders, p)`` and ``value(p)`` (the all-zero order)
-evaluate the grid of 1-point axes at ``p``, so grid and pointwise values
-agree bit for bit.  Exact solutions, boundary data, homogenization maps and
-solver solutions all implement it, so boundary functionals and
-differential operators apply to any of them through the same helpers.
+Everything downstream speaks one protocol: a *field* is a ``ScalarField``
+with a ``dim`` and a ``partial_axes(orders, axes)`` method returning the
+mixed partial derivative of the given multi-order at every point of the
+tensor grid ``axes`` (a sequence of coordinate sequences), in flat order,
+last axis fastest.  ``partial(orders, p)`` and ``value(p)`` (the all-zero
+order) evaluate the grid of 1-point axes at ``p``, so grid and pointwise
+values agree bit for bit.  Exact solutions, boundary data, homogenization
+maps and solver solutions are all subclasses defining ``partial_axes``
+alone.  A boundary functional applies to any of them one way, as
+``FieldTraceData`` (``apply_functional`` is its value at one point), and
+a differential operator one way, ``OperatorSpec.apply_axes``.
 Separable fields evaluate a grid from per-axis vectors (``ProductField``),
 and the other classes combine their parts' grids; only ``LambdaField``,
 defined point by point, evaluates one point at a time (``pointwise``), as
 does the error metric for an exact solution with only the per-point
 methods.
+
+One-variable functions with memoized derivatives are ``Fn1``; the kernel
+traces of ``functionals.KernelTrace`` are one too.
 
 Boundary *data* lives on a face and speaks the same protocol: it is a
 field over the face's tangential coordinates (``dim`` of them), with
@@ -34,29 +39,14 @@ def embed_point(tpoint, d, loc):
     return tuple(tpoint[:d]) + (loc,) + tuple(tpoint[d:])
 
 
-def apply_functional(functional, d, field, tpoint=()):
-    """Apply a boundary functional acting in direction ``d`` to a field.
-
-    ``tpoint`` fixes the tangential coordinates (empty in 1D).  Returns
-    sum_k c_k * (d^{o_k}/dx_d^{o_k} field)(..., loc_k, ...).
-    """
-    dim = field.dim
-    total = 0
-    for t in functional.terms:
-        orders = [0] * dim
-        orders[d] = t.order
-        p = embed_point(tpoint, d, t.location)
-        total += t.coeff * field.partial(tuple(orders), p)
-    return total
-
-
 class Fn1:
     """Univariate function bundled with derivative closures.
 
     ``Fn1(f, df, d2f, ...)``; ``deriv(t, k)`` dispatches to the k-th entry.
     Evaluations are memoized per (order, argument): tensor-grid pipelines
     revisit the same few axis coordinates constantly, and the closures are
-    assumed pure.
+    assumed pure.  A subclass computing its derivatives another way
+    overrides ``_compute`` and keeps the memo.
     """
 
     __slots__ = ("_derivs", "_cache")
@@ -71,14 +61,17 @@ class Fn1:
         return self.deriv(t, 0)
 
     def deriv(self, t, order):
-        if order >= len(self._derivs):
-            raise ValueError(f"Fn1 carries derivatives up to order {len(self._derivs) - 1}")
         key = (order, t)
         val = self._cache.get(key)
         if val is None:
-            val = self._derivs[order](t)
-            self._cache[key] = val
+            val = self._cache[key] = self._compute(t, order)
         return val
+
+    def _compute(self, t, order):
+        """The order-th derivative at t, unmemoized."""
+        if order >= len(self._derivs):
+            raise ValueError(f"Fn1 carries derivatives up to order {len(self._derivs) - 1}")
+        return self._derivs[order](t)
 
 
 def fn_constant(c):
@@ -255,6 +248,14 @@ class FieldTraceData(ScalarField):
             )]
             for t in self.terms
         ])
+
+
+def apply_functional(functional, d, field, tpoint=()):
+    """A boundary functional acting in direction ``d`` applied to a field
+    at the tangential point ``tpoint`` (empty in 1D):
+    sum_k c_k * (d^{o_k}/dx_d^{o_k} field)(..., loc_k, ...), the value of
+    ``FieldTraceData`` there."""
+    return FieldTraceData(field, d, functional).value(tpoint)
 
 
 def as_data(data, functional, dim):

@@ -7,6 +7,10 @@ u'.  Higher orders are rejected, not truncated.  The nonhomogeneous value
 is carried on the functional itself (``rhs``) so homogenization can consume
 (functional, value) pairs uniformly.
 
+A functional applied to one slot of a kernel is a ``KernelTrace``, a
+one-variable function of the other slot (an ``fields.Fn1``); applied to a
+field it is ``fields.FieldTraceData``.
+
 Functionals are immutable value objects.
 """
 
@@ -18,6 +22,7 @@ import mpmath
 from mpmath.libmp import repr_dps
 
 from .errors import InvalidFunctional
+from .fields import Fn1
 from .numerics import FLOAT64
 
 
@@ -110,18 +115,18 @@ def make_multipoint(a, weights, psi=0, ctx=FLOAT64):
 # -- application -------------------------------------------------------------
 
 
-class KernelTrace:
+class KernelTrace(Fn1):
     """One kernel slot contracted against a functional; a function of the
-    remaining variable with derivative access.
+    remaining variable with derivative access, an ``fields.Fn1``.
 
     slot='first' fixes the x slot: value(t) = sum_k c_k * d_x^{o_k} R(loc_k, t).
     slot='second' fixes the y slot: value(t) = sum_k c_k * d_y^{o_k} R(t, loc_k).
 
-    Evaluations are memoized per (order, point): matrix assembly hits each
-    trace at every grid node many times.
+    Evaluations are memoized per (order, point) by ``Fn1.deriv``: matrix
+    assembly hits each trace at every grid node many times.
     """
 
-    __slots__ = ("kernel", "terms", "slot", "_cache")
+    __slots__ = ("kernel", "terms", "slot")
 
     def __init__(self, kernel, functional, slot):
         if slot not in ("first", "second"):
@@ -131,30 +136,17 @@ class KernelTrace:
         self.slot = slot
         self._cache = {}
 
-    def deriv(self, t, order):
-        key = (order, t)
-        val = self._cache.get(key)
-        if val is None:
-            k = self.kernel
-            if self.slot == "first":
-                val = sum(
-                    tm.coeff * k.mixed_partial(tm.order, order, tm.location, t)
-                    for tm in self.terms
-                )
-            else:
-                val = sum(
-                    tm.coeff * k.mixed_partial(order, tm.order, t, tm.location)
-                    for tm in self.terms
-                )
-            self._cache[key] = val
-        return val
-
-    def __call__(self, t):
-        return self.deriv(t, 0)
-
-
-def apply_to_kernel_slot(functional, kernel, slot):
-    return KernelTrace(kernel, functional, slot)
+    def _compute(self, t, order):
+        k = self.kernel
+        if self.slot == "first":
+            return sum(
+                tm.coeff * k.mixed_partial(tm.order, order, tm.location, t)
+                for tm in self.terms
+            )
+        return sum(
+            tm.coeff * k.mixed_partial(order, tm.order, t, tm.location)
+            for tm in self.terms
+        )
 
 
 def bilinear(l1, l2, kernel):

@@ -22,11 +22,12 @@ of the functional, by differentiating and freezing g along d.  Terms with
 equal monomials and equal frozen datum are merged, so the map holds few
 terms over few distinct traces.
 
-M is evaluated on tensor grids, a single point being a grid of 1-point
-axes.  Terms are grouped by the directions their trace follows; per group
-each trace is evaluated once on the subgrid over those directions by its
-data's ``partial_axes``, with a 1-point axis where it is frozen (memoized
-per derivative orders and subgrid), and the coefficients are summed per
+M is a field of the ``fields`` protocol: it defines ``partial_axes``
+alone, a single point being a grid of 1-point axes.  Terms are grouped
+by the directions their trace follows; per group each trace is
+evaluated once on the subgrid over those directions by its data's
+``partial_axes``, with a 1-point axis where it is frozen (memoized per
+derivative orders and subgrid), and the coefficients are summed per
 monomial degree.  Each group is contracted with the monomials'
 derivatives on the grid along every swept direction but its last (mode
 products, as for the kernel expansion), and the last contractions of all
@@ -54,13 +55,13 @@ import itertools
 import math
 
 from .errors import NoHomogenizer
-from .fields import ConstantData, as_data
+from .fields import ConstantData, ScalarField, as_data
 from .numerics import dot, mode_sum
 
 _MAX_ANSATZ_DEGREE = 3
 
 
-class HomogenizationMap:
+class HomogenizationMap(ScalarField):
     """Smooth function matching all supplied (functional, data) pairs.
 
     Built from (coeff, powers, trace) terms.  ``powers[e]`` is the
@@ -72,7 +73,8 @@ class HomogenizationMap:
     ``terms`` holds them grouped as (trace, [(coeff, powers), ...]), and
     the traces are grouped once more by the directions they follow, the
     unit of tensor-grid evaluation (``parts``, summed by ``partial_axes``).
-    ``value`` and ``partial`` evaluate a grid of 1-point axes.
+    It is a ``fields.ScalarField``: ``value`` and ``partial`` are the
+    protocol's, a grid of 1-point axes.
     """
 
     def __init__(self, dim, terms, ctx):
@@ -88,12 +90,6 @@ class HomogenizationMap:
             groups.setdefault(follows, []).append((trace, monomials))
         self._groups = tuple(groups.items())
         self._memo = {}
-
-    def value(self, p):
-        return self.partial_axes((0,) * self.dim, [(x,) for x in p])[0]
-
-    def partial(self, orders, p):
-        return self.partial_axes(orders, [(x,) for x in p])[0]
 
     def partial_axes(self, orders, axes):
         """d^orders M at every point of the tensor grid ``axes``, in flat

@@ -10,7 +10,9 @@ comparable).
 
 The system is built as the constrained method's is, from the per-axis
 node tables and Kronecker rows of ``pseudospectral``; a boundary row
-takes the face functional's trace along the normal axis.
+takes the face functional's kernel trace (``functionals.KernelTrace``)
+at the centers along the normal axis.  The result is a ``Solution``, a
+field like the constrained method's, with no homogenization map.
 
 Boundary conditions hold exactly at the collocation boundary nodes --
 they are equations of the solved system -- but generically not between
@@ -20,7 +22,7 @@ the comparison.
 
 from __future__ import annotations
 
-from .functionals import apply_to_kernel_slot
+from .functionals import KernelTrace
 from .kernels import GaussianKernel
 from .numerics import kron
 from .pseudospectral import (
@@ -59,7 +61,7 @@ def kansa_solve(problem, counts, shape, ctx):
     for d in range(dim):
         for side in (0, 1):
             functional = problem.bcs[d][side].functional
-            trace = apply_to_kernel_slot(functional, kernels[d], "first")
+            trace = KernelTrace(kernels[d], functional, "first")
             face_vectors[(d, side)] = [trace(xj) for xj in grid.axes[d]]
 
     rows = []

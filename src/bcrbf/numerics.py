@@ -122,17 +122,20 @@ class Precision:
             return self.mp.mpf(10) ** (offset - self.digits)
         return 10.0 ** (offset - self.digits)
 
-    def pivot_tol(self, scale=1.0):
-        """LU singularity cutoff: 10**(-2*digits) times the matrix scale.
+    def pivot_tol(self, scale):
+        """LU singularity cutoff: 10**(-2*digits) times max(1, scale), the
+        matrix scale.
 
         Flat-kernel collocation matrices are solved legitimately through
         pivots at the rounding floor (the function-space error cancels);
-        only pivots far below it -- structural zeros -- are refused.
+        only pivots far below it -- structural zeros -- are refused.  In
+        mp mode the scale is a number of the context, as in ``tol``: as a
+        float it would overflow to inf from about 1e308 on.
         """
-        s = max(1.0, float(scale))
         if self.mode == "mp":
-            return self.mp.mpf(10) ** (-2 * self.digits) * s
-        return 10.0 ** (-2 * self.digits) * s
+            scale = max(self.mp.one, self.mp.mpf(scale))
+            return self.mp.mpf(10) ** (-2 * self.digits) * scale
+        return 10.0 ** (-2 * self.digits) * max(1.0, float(scale))
 
     # -- scalar construction and elementary functions ----------------------
 
@@ -192,10 +195,6 @@ class Precision:
 FLOAT64 = Precision("float64")
 
 
-def is_finite(x):
-    return mpmath.isfinite(x)
-
-
 # -- basic dense helpers ----------------------------------------------------
 
 
@@ -225,7 +224,7 @@ def norm_1(a):
 def check_finite(a, what="matrix"):
     for row in a:
         for v in row:
-            if not is_finite(v):
+            if not mpmath.isfinite(v):
                 raise ValueError(f"non-finite entry in {what}")
 
 

@@ -35,8 +35,8 @@ functional, so boundary collocation rows would be identically zero.
 
 Every number of a solve carries the digits of its ``Precision``, so
 solves and evaluations may run in concurrent threads of one process, at
-equal or different digits.  A Solution evaluates at its own digits, at
-points rounded to them.
+equal or different digits.  A Solution is a field of the ``fields``
+protocol, and evaluates at its own digits, at points rounded to them.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 from .constrained import impose_sequence
 from .errors import NodeCollision, SingularMatrix
-from .fields import apply_functional, as_data
+from .fields import ScalarField, apply_functional, as_data
 from .homogenize import homogenize_nd
 from .kernels import GaussianKernel
 from .numerics import (
@@ -93,18 +93,24 @@ class OperatorSpec:
     def dim(self):
         return len(self.terms[0].orders)
 
-    def apply(self, fieldlike, p):
-        return sum(
-            t.coeff_at(p) * fieldlike.partial(t.orders, p) for t in self.terms
-        )
+    def apply_axes(self, field, axes):
+        """The operator applied to a field at every point p of the tensor
+        grid ``axes``, in flat order: sum over terms of coeff(p) times the
+        field's ``partial_axes``, added term by term.  A single point is
+        a grid of 1-point axes."""
+        parts = [field.partial_axes(t.orders, axes) for t in self.terms]
+        return [
+            sum(t.coeff_at(p) * vals[i] for t, vals in zip(self.terms, parts))
+            for i, p in enumerate(itertools.product(*axes))
+        ]
 
 
-def laplacian(dim, scale=1):
+def laplacian(dim):
     terms = []
     for d in range(dim):
         orders = [0] * dim
         orders[d] = 2
-        terms.append(OperatorTerm(tuple(orders), scale))
+        terms.append(OperatorTerm(tuple(orders), 1))
     return OperatorSpec(tuple(terms))
 
 
@@ -205,7 +211,7 @@ class Grid:
         return list(itertools.product(*self.axes))
 
 
-def build_grid(domain, counts, scheme="uniform-interior", ctx=None, avoid=()):
+def build_grid(domain, counts, scheme, ctx, avoid=()):
     """Tensor grid; nodes never touch the support locations in ``avoid``.
 
     ``uniform-interior`` places a + (b-a) j/(N+1), j = 1..N.
@@ -381,12 +387,13 @@ def _cond_a(ctx, tables):
 # -- solution -------------------------------------------------------------------
 
 
-class Solution:
+class Solution(ScalarField):
     """Coefficient vector + per-direction kernels + homogenization map.
 
-    ``partial_axes(orders, axes)`` differentiates the expansion
-    analytically on a tensor grid, and ``partial(orders, p)`` at a point,
-    so boundary functionals apply to a Solution exactly like to any field.
+    A field of the ``fields`` protocol: ``partial_axes(orders, axes)``
+    differentiates the expansion analytically on a tensor grid, so
+    boundary functionals and operators apply to a Solution exactly like
+    to any field.  ``evaluate`` and ``evaluate_axes`` name its values.
     """
 
     def __init__(self, ctx, grid, kernels, lam, hom, nodal=None, diagnostics=None):
@@ -402,20 +409,14 @@ class Solution:
     def dim(self):
         return self.grid.dim
 
-    def partial(self, orders, p):
-        return self._expand(tuple(orders), [(x,) for x in p])[0]
-
     def evaluate(self, p):
-        return self.partial((0,) * self.dim, p)
-
-    def partial_axes(self, orders, axes):
-        return self._expand(tuple(orders), axes)
+        return self.value(p)
 
     def evaluate_axes(self, axes):
         """Values on a tensor grid of points, flattened lexicographically."""
-        return self._expand((0,) * self.dim, axes)
+        return self.partial_axes((0,) * self.dim, axes)
 
-    def _expand(self, orders, axes):
+    def partial_axes(self, orders, axes):
         """d^orders of the solution at every point of the tensor grid
         ``axes``, in flat order.
 
@@ -518,12 +519,9 @@ def solve(problem, counts, shape, ctx, mode="direct", scheme="uniform-interior")
     tables = _all_tables(kernels, grid, problem.operator)
     a = build_evaluation_matrix(grid, kernels, tables)
     a_l = build_operator_matrix(grid, kernels, problem.operator, tables)
-    terms = problem.operator.terms
-    lms = [hom.partial_axes(t.orders, grid.axes) for t in terms]
     f = [
-        ctx.num(problem.rhs(p))
-        - sum(t.coeff_at(p) * lm[i] for t, lm in zip(terms, lms))
-        for i, p in enumerate(grid.points())
+        ctx.num(problem.rhs(p)) - lm
+        for p, lm in zip(grid.points(), problem.operator.apply_axes(hom, grid.axes))
     ]
 
     cond_a = _cond_a(ctx, tables)

@@ -129,13 +129,14 @@ def error_metrics(solution, exact, ctx):
     return max_err, rel
 
 
-def ensure_self_checked(ident, tol=1e-8):
-    """Run the exact-solution residual self-check once per example."""
+def ensure_self_checked(ident):
+    """Run the exact-solution residual self-check once per example; both
+    residuals must be at most 1e-8 in float64."""
     if ident in _checked:
         return
     record = get_example(ident)
     pde, bc = self_check(record, FLOAT64)
-    if not (pde <= tol and bc <= tol):
+    if not (pde <= 1e-8 and bc <= 1e-8):
         raise BcrbfError(
             f"{ident}: exact-solution self-check failed "
             f"(pde residual {pde:.3e}, bc residual {bc:.3e})"

@@ -83,7 +83,7 @@ def test_chebyshev_axes_evaluate_entry_by_entry():
             )
             for i, (row, x) in enumerate(zip(gauss, pts))
         ]
-        assert sol._expand((m,), [pts]) == ref
+        assert sol.partial_axes((m,), [pts]) == ref
 
 
 def test_chebyshev_grid_evaluates_entry_by_entry():
@@ -94,7 +94,7 @@ def test_chebyshev_grid_evaluates_entry_by_entry():
     sol = _solution("ex4", (6, 6), 100, "direct", "chebyshev-interior")
     axes = evaluation_axes(sol.grid.domain, sol.ctx)
     for orders in ((0, 0), (1, 0), (0, 2)):
-        assert sol._expand(orders, axes) == per_entry_expansion(sol, orders, axes)[0]
+        assert sol.partial_axes(orders, axes) == per_entry_expansion(sol, orders, axes)[0]
 
 
 CASES = [
@@ -119,7 +119,7 @@ def test_evaluation_matches_per_entry_oracle(ident, counts, dps, method, orders_
         ref, mats = per_entry_expansion(sol, orders, axes)
         k_max = math.prod(max(abs(v) for row in mat for v in row) for mat in mats)
         tol = mpmath.mpf(10) ** (5 - ctx.digits) * lam_sum * k_max
-        got = sol._expand(orders, axes)
+        got = sol.partial_axes(orders, axes)
         assert len(got) == len(ref)
         assert max(abs(a - b) for a, b in zip(got, ref)) <= tol
 

@@ -63,6 +63,18 @@ def _solution(ident, counts, shape, ctx, method="direct"):
     return sol, problem.domain
 
 
+def _face(ident, counts, d, side, ctx, method="direct"):
+    """A face's boundary functional applied to a solution: the field over
+    the face's tangential coordinates and their box."""
+    shape = "0.5" if ident == "ex1" else "1"
+    sol, domain = _solution(ident, counts, shape, ctx, method)
+    record = get_example(ident)
+    problem = record.make(ctx, 0.5) if record.has_eps else record.make(ctx)
+    functional = problem.bcs[d][side].functional
+    face = tuple(ab for e, ab in enumerate(domain) if e != d)
+    return FieldTraceData(sol, d, functional), face
+
+
 @functools.lru_cache(maxsize=None)
 def _field(name, mode):
     """(field, domain) per class under test."""
@@ -88,12 +100,21 @@ def _field(name, mode):
         return _solution("ex4", (5, 5), "1", ctx)
     if name == "solution-kansa":
         return _solution("ex4", (5, 5), "1", ctx, "kansa")
+    if name == "face-ex1-robin":  # 1D: the face is a point
+        return _face("ex1", (10,), 0, 0, ctx)
+    if name == "face-ex2-neumann":
+        return _face("ex2", (5, 5), 0, 1, ctx)
+    if name == "face-ex2-robin":
+        return _face("ex2", (5, 5), 1, 1, ctx)
+    if name == "face-kansa-ex4":
+        return _face("ex4", (5, 5), 0, 1, ctx, "kansa")
     raise ValueError(name)
 
 
 FIELDS = [
     "product", "sum", "constant", "trace", "lambda",
     "map-ex2", "map-ex7", "solution-ex1", "solution-ex4", "solution-kansa",
+    "face-ex1-robin", "face-ex2-neumann", "face-ex2-robin", "face-kansa-ex4",
 ]
 
 
@@ -106,7 +127,7 @@ def _grid(draw, domain):
     """Non-uniform axes of 1-4 points in ``domain``, one of them 1 point,
     and derivative orders of total order at most 2."""
     dim = len(domain)
-    single = draw(st.integers(0, dim - 1))
+    single = draw(st.integers(0, dim - 1)) if dim else None
     axes = []
     for e, (a, b) in enumerate(domain):
         n = 1 if e == single else draw(st.integers(1, 4))
@@ -125,7 +146,8 @@ def _grid(draw, domain):
 @given(data=st.data())
 def test_grid_equals_pointwise(name, mode, data):
     """partial_axes on a grid equals partial (and value) at each of its
-    points bit for bit, for every field class, in mp and float64."""
+    points bit for bit, for every field class, in mp and float64, and for
+    boundary functionals applied to solutions on face grids."""
     field, domain = _field(name, mode)
     ctx = CTXS[mode]
     axes, orders = data.draw(_grid(domain))

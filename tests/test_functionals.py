@@ -9,7 +9,7 @@ from bcrbf.errors import InvalidFunctional
 from bcrbf.functionals import (
     BoundaryFunctional,
     FunctionalTerm,
-    apply_to_kernel_slot,
+    KernelTrace,
     bilinear,
     format_functional,
     make_dirichlet,
@@ -119,18 +119,18 @@ def test_linearity_property():
 
 def test_kernel_slot_traces():
     k = GaussianKernel(1.0)
-    trace = apply_to_kernel_slot(make_dirichlet(0.0), k, "first")  # t -> exp(-t^2)
+    trace = KernelTrace(k, make_dirichlet(0.0), "first")  # t -> exp(-t^2)
     assert trace(0.7) == pytest.approx(math.exp(-0.49))
     # derivative of the trace at y = 1: d/dy exp(-y^2) = -2 e^-1
     assert trace.deriv(1.0, 1) == pytest.approx(-2 * math.exp(-1))
-    neum = apply_to_kernel_slot(make_neumann(0.0), k, "second")
+    neum = KernelTrace(k, make_neumann(0.0), "second")
     assert neum(0.0) == pytest.approx(0.0)  # odd derivative at zero separation
 
 
 def test_trace_derivatives_match_finite_differences():
     k = GaussianKernel(1.3)
     L = make_robin(0.7, -1.2, 0.4)
-    trace = apply_to_kernel_slot(L, k, "first")
+    trace = KernelTrace(k, L, "first")
 
     def as_bivariate(_, t):
         return trace(t)
@@ -155,9 +155,9 @@ def test_bilinear_slot_commutation():
     l2 = make_multipoint(0.0, [(0.5, 0.3), (0.5, 0.8)])
     direct = bilinear(l1, l2, k)
     # apply L1 first then L2, and the other way around
-    t1 = apply_to_kernel_slot(l1, k, "first")
+    t1 = KernelTrace(k, l1, "first")
     via_first = apply_to_function(l2, t1)
-    t2 = apply_to_kernel_slot(l2, k, "second")
+    t2 = KernelTrace(k, l2, "second")
     via_second = apply_to_function(l1, t2)
     assert direct == pytest.approx(via_first, rel=1e-12)
     assert direct == pytest.approx(via_second, rel=1e-12)

@@ -67,6 +67,16 @@ def test_lu_singular_reports_pivot():
     assert exc.value.pivot_index == 1
 
 
+def test_lu_beyond_the_float_range():
+    """A matrix scaled past the float range factors: its pivot tolerance is
+    10^(-2D) max(1, scale) in the context, not float(scale) = inf."""
+    big = MP50.num("1e400")
+    fact = lu_factor(MP50, [[2 * big, big], [big, 3 * big]])
+    x = fact.solve_vec([3 * big, 4 * big])
+    assert max(abs(v - 1) for v in x) <= MP50.tol(2)
+    assert MP50.pivot_tol(big) == MP50.num(10) ** -100 * big
+
+
 def test_lu_rectangular_rejected():
     with pytest.raises(ValueError):
         lu_factor(FLOAT64, [[1.0, 2.0]])

@@ -237,6 +237,22 @@ def test_cli_bad_arguments_exit_2():
     assert exc.value.code == 2
 
 
+def test_cli_rejects_nonpositive_shape_and_steps(capsys):
+    """A shape parameter <= 0 or fewer than one sweep step is a bad
+    argument: exit code 2 and a usage message, no traceback."""
+    for shape in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--example", "ex1", "--n", "8", "--shape", shape,
+                  "--precision", "float64"])
+        assert exc.value.code == 2
+        assert "--shape" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--example", "ex1", "--n", "8", "--shape-min", "0.1",
+              "--shape-max", "1", "--steps", "0", "--precision", "float64"])
+    assert exc.value.code == 2
+    assert "--steps" in capsys.readouterr().err
+
+
 def test_cli_numerical_failure_exit_3(capsys):
     code = main([
         "solve", "--example", "ex4", "--n", "6x6", "--shape", "1e-9",
