@@ -63,7 +63,6 @@ class ExampleRecord:
     make: object
     table: tuple
     has_eps: bool = False
-    default_eps: float = None
 
 
 def _dirichlet_bc(exact, d, loc, ctx):
@@ -409,7 +408,6 @@ EXAMPLES = {
         metric="abs",
         make=_make_ex1,
         has_eps=True,
-        default_eps=2.0**-5,
         table=(
             TableRow((32,), 2.151530648e-17, 1.677759019e-18, eps=0.5, literature=7.93e-2),
             TableRow((64,), 2.896067662e-36, 2.217079325e-37, eps=0.5, literature=4.02e-2),

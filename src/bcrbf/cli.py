@@ -18,6 +18,7 @@ Boundary conditions print in the plain-text functional grammar, e.g.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -39,6 +40,16 @@ def _counts_arg(text):
         return parse_counts(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _positive_arg(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"need a finite number > 0, got {text!r}")
+    return value
 
 
 def _example_arg(text):
@@ -63,7 +74,7 @@ def build_parser():
     def add_common(p):
         p.add_argument("--example", required=True, type=_example_arg)
         p.add_argument("--n", required=True, type=_counts_arg, metavar="NxM")
-        p.add_argument("--eps", type=float, default=None,
+        p.add_argument("--eps", type=_positive_arg, default=None,
                        help="perturbation parameter (ex1 only)")
         p.add_argument("--precision", type=_precision_arg,
                        default=None, metavar="float64|mp:D")
@@ -78,14 +89,14 @@ def build_parser():
 
     ps = sub.add_parser("solve", help="run one benchmark configuration")
     add_common(ps)
-    ps.add_argument("--shape", type=float, required=True)
+    ps.add_argument("--shape", type=_positive_arg, required=True)
     ps.add_argument("--method", choices=("constrained", "kansa", "both"),
                     default="constrained")
 
     pw = sub.add_parser("sweep", help="sweep the shape parameter")
     add_common(pw)
-    pw.add_argument("--shape-min", type=float, required=True)
-    pw.add_argument("--shape-max", type=float, required=True)
+    pw.add_argument("--shape-min", type=_positive_arg, required=True)
+    pw.add_argument("--shape-max", type=_positive_arg, required=True)
     pw.add_argument("--steps", type=int, default=20)
     pw.add_argument("--method", choices=("constrained", "kansa", "both"),
                     default="both")
@@ -135,8 +146,6 @@ def main(argv=None):
         parser.error(f"{args.example} takes no --eps parameter")
 
     if args.command == "solve":
-        if args.shape <= 0:
-            parser.error("need --shape > 0")
         methods = (
             ("constrained", "kansa") if args.method == "both" else (args.method,)
         )
@@ -148,8 +157,8 @@ def main(argv=None):
             for m in methods
         ]
     else:
-        if args.shape_min <= 0 or args.shape_max < args.shape_min:
-            parser.error("need 0 < --shape-min <= --shape-max")
+        if args.shape_max < args.shape_min:
+            parser.error("need --shape-min <= --shape-max")
         if args.steps < 1:
             parser.error("need --steps >= 1")
         reports = run_sweep(

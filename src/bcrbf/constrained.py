@@ -1,25 +1,25 @@
 """Kernels constrained to annihilate boundary functionals exactly.
 
-Given a kernel R and a functional L with L_x L_y R != 0, the corrected
-kernel
+Given a symmetric kernel R and a functional L with gamma = L_x L_y R != 0,
+the corrected kernel
 
-    R1(x, y) = R(x, y) - (L_y R)(x) * (L_x R)(y) / (L_x L_y R)
+    R1(x, y) = R(x, y) - phi(x) * phi(y) / gamma,  phi = L_y R = L_x R,
 
 satisfies L R1 = 0 in either slot, exactly, for every value of the other
-variable.  Imposing a second functional on R1 the same way preserves the
-first annihilation, so a sequence of impositions yields a kernel that
-satisfies all its boundary functionals at once.  Corrections are stored,
-never expanded symbolically, and every correction trace carries analytic
-derivative access (differentiating the underlying kernel's mixed
-partials, never numeric differentiation).
+variable.  R1 is symmetric again, and imposing a second functional on it
+the same way preserves the first annihilation, so a sequence of
+impositions yields a kernel that satisfies all its boundary functionals
+at once.  A correction is stored as its trace phi and gamma, never
+expanded symbolically; phi (``functionals.KernelTrace``) differentiates
+the underlying kernel's mixed partials, never numerically.
 
 Entry by entry (``mixed_partial``) a kernel is its base entry plus, per
-correction, phi_k(x) times the scaled right factor -psi_k(y) / gamma_k
-(rounded once with ten guard digits), summed exactly and rounded once
-(``numerics.corrected_entry``).  Over points xs and nodes y_j
-(``partial_matrix``) it is the base kernel's matrix minus the low-rank
-part Phi diag(gamma)^-1 Psi^T, Phi[x][k] = d^m phi_k(x) and
-Psi[j][k] = psi_k(y_j), kept as those factors (``numerics.
+correction, d^m phi_k(x) times the scaled right factor
+-d^n phi_k(y) / gamma_k (rounded once with ten guard digits), summed
+exactly and rounded once (``numerics.corrected_entry``).  Over points xs
+and nodes y_j (``partial_matrix``) it is the base kernel's matrix minus
+the low-rank part P diag(gamma)^-1 Q^T, P[x][k] = d^m phi_k(x) and
+Q[j][k] = phi_k(y_j), kept as those factors (``numerics.
 CorrectedMatrix``): the corrections cost O(#points + #nodes) trace
 values, and are applied to the coefficients of an expansion instead of
 to every entry.  Made dense, its entries are ``mixed_partial``'s, bit
@@ -39,30 +39,20 @@ from .functionals import KernelTrace, bilinear
 from .numerics import CorrectedMatrix, corrected_entry, correction_scales
 
 
-class RankOneCorrection:
-    """One subtracted term phi(x) * psi(y) / gamma."""
-
-    __slots__ = ("phi", "psi", "gamma")
-
-    def __init__(self, phi, psi, gamma):
-        self.phi = phi
-        self.psi = psi
-        self.gamma = gamma
-
-
 class ConstrainedKernel:
-    """Base kernel minus accumulated rank-one corrections.
+    """Base kernel minus rank-one corrections phi_k(x) phi_k(y) / gamma_k.
 
     Public derivative access is meant for total order m + n <= 2 (what the
     PDE pipeline consumes); deeper requests are forwarded and fail inside
     the base kernel once its total-order budget is exceeded.
     """
 
-    __slots__ = ("base", "corrections", "imposed", "ctx")
+    __slots__ = ("base", "traces", "gammas", "imposed", "ctx")
 
-    def __init__(self, base, corrections, imposed):
+    def __init__(self, base, traces, gammas, imposed):
         self.base = base
-        self.corrections = tuple(corrections)
+        self.traces = tuple(traces)
+        self.gammas = tuple(gammas)
         self.imposed = tuple(imposed)
         self.ctx = base.ctx
 
@@ -70,28 +60,28 @@ class ConstrainedKernel:
         return self.mixed_partial(0, 0, x, y)
 
     def mixed_partial(self, m, n, x, y):
-        corrs = self.corrections
+        traces = self.traces
         scales = correction_scales(
-            self.ctx, [c.psi.deriv(y, n) for c in corrs], [c.gamma for c in corrs]
+            self.ctx, [t.deriv(y, n) for t in traces], self.gammas
         )
         return corrected_entry(
             self.ctx,
             self.base.mixed_partial(m, n, x, y),
-            [c.phi.deriv(x, m) for c in corrs],
+            [t.deriv(x, m) for t in traces],
             scales,
         )
 
     def partial_matrix(self, m, xs, nodes, uniform):
         """d^m/dx^m of the kernel over xs x nodes: the base kernel's rows
-        beside the correction traces d^m phi_k(x), with psi_k at the nodes
+        beside the correction traces d^m phi_k(x), with phi_k at the nodes
         and the denominators, as a CorrectedMatrix."""
         rows = self.base.partial_matrix(m, xs, nodes, uniform)
-        corrs = self.corrections
+        traces = self.traces
         return CorrectedMatrix(
             self.ctx,
-            [row + [c.phi.deriv(x, m) for c in corrs] for row, x in zip(rows, xs)],
-            [[c.psi.deriv(y, 0) for y in nodes] for c in corrs],
-            [c.gamma for c in corrs],
+            [row + [t.deriv(x, m) for t in traces] for row, x in zip(rows, xs)],
+            [[t.deriv(y, 0) for y in nodes] for t in traces],
+            self.gammas,
         )
 
     def __repr__(self):
@@ -115,16 +105,15 @@ def impose(kernel, functional):
             f"for {functional!r}",
             gamma=gamma,
         )
-    phi = KernelTrace(kernel, functional, "second")  # function of x
-    psi = KernelTrace(kernel, functional, "first")  # function of y
-    corr = RankOneCorrection(phi, psi, gamma)
+    trace = KernelTrace(kernel, functional)
     if isinstance(kernel, ConstrainedKernel):
         return ConstrainedKernel(
             kernel.base,
-            kernel.corrections + (corr,),
+            kernel.traces + (trace,),
+            kernel.gammas + (gamma,),
             kernel.imposed + (functional,),
         )
-    return ConstrainedKernel(kernel, (corr,), (functional,))
+    return ConstrainedKernel(kernel, (trace,), (gamma,), (functional,))
 
 
 def impose_sequence(kernel, functionals):

@@ -7,9 +7,9 @@ u'.  Higher orders are rejected, not truncated.  The nonhomogeneous value
 is carried on the functional itself (``rhs``) so homogenization can consume
 (functional, value) pairs uniformly.
 
-A functional applied to one slot of a kernel is a ``KernelTrace``, a
-one-variable function of the other slot (an ``fields.Fn1``); applied to a
-field it is ``fields.FieldTraceData``.
+A functional applied to one slot of a symmetric kernel is a
+``KernelTrace``, a one-variable function of the other slot (an
+``fields.Fn1``); applied to a field it is ``fields.FieldTraceData``.
 
 Functionals are immutable value objects.
 """
@@ -116,33 +116,25 @@ def make_multipoint(a, weights, psi=0, ctx=FLOAT64):
 
 
 class KernelTrace(Fn1):
-    """One kernel slot contracted against a functional; a function of the
-    remaining variable with derivative access, an ``fields.Fn1``.
-
-    slot='first' fixes the x slot: value(t) = sum_k c_k * d_x^{o_k} R(loc_k, t).
-    slot='second' fixes the y slot: value(t) = sum_k c_k * d_y^{o_k} R(t, loc_k).
+    """A kernel contracted against a functional in its second slot,
+    value(t) = sum_k c_k * d_y^{o_k} R(t, loc_k): a function of the first
+    slot with derivative access, an ``fields.Fn1``.  Every kernel here is
+    symmetric, so this is also the functional applied to the first slot,
+    as a function of the second.
 
     Evaluations are memoized per (order, point) by ``Fn1.deriv``: matrix
     assembly hits each trace at every grid node many times.
     """
 
-    __slots__ = ("kernel", "terms", "slot")
+    __slots__ = ("kernel", "terms")
 
-    def __init__(self, kernel, functional, slot):
-        if slot not in ("first", "second"):
-            raise ValueError("slot must be 'first' or 'second'")
+    def __init__(self, kernel, functional):
         self.kernel = kernel
         self.terms = functional.terms
-        self.slot = slot
         self._cache = {}
 
     def _compute(self, t, order):
         k = self.kernel
-        if self.slot == "first":
-            return sum(
-                tm.coeff * k.mixed_partial(tm.order, order, tm.location, t)
-                for tm in self.terms
-            )
         return sum(
             tm.coeff * k.mixed_partial(order, tm.order, t, tm.location)
             for tm in self.terms

@@ -248,16 +248,12 @@ def _ansatz_weights(l1, l2, ctx):
 def homogenize_nd(pairs_per_dim, ctx):
     """Build M from per-direction ((L1, data1), (L2, data2)) assignments.
 
-    Entries of ``pairs_per_dim`` may be None to skip a direction.  Data
-    items may be None (use the functional's rhs), scalars, Fn1, or fields
-    over the tangential coordinates.
+    Data items may be None (use the functional's rhs), scalars, Fn1, or
+    fields over the tangential coordinates.
     """
     dim = len(pairs_per_dim)
     terms = {}
-    for d, pair in enumerate(pairs_per_dim):
-        if pair is None:
-            continue
-        (l1, data1), (l2, data2) = pair
+    for d, ((l1, data1), (l2, data2)) in enumerate(pairs_per_dim):
         (k1, k2), w = _ansatz_weights(l1, l2, ctx)
         # data_s - L_s(M), the mismatch each functional leaves
         resid = []

@@ -12,7 +12,7 @@ The system is built as the constrained method's is, from the per-axis
 node tables and Kronecker rows of ``pseudospectral``; a boundary row
 takes the face functional's kernel trace (``functionals.KernelTrace``)
 at the centers along the normal axis.  The result is a ``Solution``, a
-field like the constrained method's, with no homogenization map.
+field like the constrained method's, whose homogenization map is zero.
 
 Boundary conditions hold exactly at the collocation boundary nodes --
 they are equations of the solved system -- but generically not between
@@ -23,6 +23,7 @@ the comparison.
 from __future__ import annotations
 
 from .functionals import KernelTrace
+from .homogenize import HomogenizationMap
 from .kernels import GaussianKernel
 from .numerics import kron
 from .pseudospectral import (
@@ -45,8 +46,8 @@ def _face_of(ii, counts):
 
 
 def kansa_solve(problem, counts, shape, ctx):
-    """Solve by unsymmetric collocation; returns a Solution (without any
-    homogenization map: the expansion carries the data itself).  Its
+    """Solve by unsymmetric collocation; returns a Solution with the zero
+    homogenization map: the expansion carries the data itself.  Its
     diagnostics record ``cond_AL``, the 1-norm estimate from the factors
     that solved the system."""
     dim = problem.dim
@@ -61,7 +62,7 @@ def kansa_solve(problem, counts, shape, ctx):
     for d in range(dim):
         for side in (0, 1):
             functional = problem.bcs[d][side].functional
-            trace = KernelTrace(kernels[d], functional, "first")
+            trace = KernelTrace(kernels[d], functional)
             face_vectors[(d, side)] = [trace(xj) for xj in grid.axes[d]]
 
     rows = []
@@ -89,4 +90,5 @@ def kansa_solve(problem, counts, shape, ctx):
         "counts": tuple(counts),
         "cond_AL": fact.cond1_estimate(),
     }
-    return Solution(ctx, grid, kernels, lam, None, None, diagnostics)
+    hom = HomogenizationMap.zero(dim, ctx)
+    return Solution(ctx, grid, kernels, lam, hom, None, diagnostics)

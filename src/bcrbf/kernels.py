@@ -3,16 +3,18 @@
 The Gaussian kernel here uses the convention exp(-c^2 (x-y)^2): the shape
 parameter multiplies the distance, matching the RBF-PS literature.
 
-A kernel handle downstream is any object with ``eval(x, y)``,
-``mixed_partial(m, n, x, y)`` and ``partial_matrix(m, xs, nodes,
-uniform)``.  Only boundary functionals use the first two, entry by
-entry.  Every kernel matrix -- the node tables of the constrained and
-Kansa systems, and the matrices that evaluate a solution -- comes from the
-third: d^m/dx^m R(x, y) over points xs and one axis's nodes, as a list of
-rows or as a ``numerics.CorrectedMatrix`` for a constrained kernel.
-``uniform`` says that the nodes are equally spaced, as the grid builders
-know.  A kernel computes at the digits of its ``Precision`` and may be
-shared between threads (see ``numerics``).
+A kernel handle downstream is any symmetric kernel, R(x, y) = R(y, x),
+with ``eval(x, y)``, ``mixed_partial(m, n, x, y)`` and
+``partial_matrix(m, xs, nodes, uniform)``.  Only boundary functionals
+use the first two, entry by entry, and by symmetry they apply them to
+the second slot alone (``functionals.KernelTrace``).  Every kernel
+matrix -- the node tables of the constrained and Kansa systems, and the
+matrices that evaluate a solution -- comes from the third: d^m/dx^m
+R(x, y) over points xs and one axis's nodes, as a list of rows or as a
+``numerics.CorrectedMatrix`` for a constrained kernel.  ``uniform`` says
+that the nodes are equally spaced, as the grid builders know.  A kernel
+computes at the digits of its ``Precision`` and may be shared between
+threads (see ``numerics``).
 """
 
 from __future__ import annotations

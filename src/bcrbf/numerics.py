@@ -292,7 +292,7 @@ def dot(ctx, us, vs):
 
 def correction_scales(ctx, qs, gammas):
     """The scaled right factors s_k = -(q_k / gamma_k) of one node, each
-    rounded once at D + 10 digits (``ctx`` at D digits), for q_k = psi_k
+    rounded once at D + 10 digits (``ctx`` at D digits), for q_k = phi_k
     at the node: the quotient's rounding stays ten digits below the
     entry's.  float64 has no wider format: there they are float64
     quotients."""

@@ -430,10 +430,11 @@ class Solution(ScalarField):
         first.
 
         A constrained kernel's matrix is the Gaussian's, G, minus the
-        low-rank part Phi Gamma^-1 Psi^T of its r <= 2 corrections
-        (``partial_matrix``).  Along an axis with more nodes than the
-        other axes hold together, always in 1D, it is applied by its
-        factors, K lam = G lam - Phi (Gamma^-1 Psi^T lam): the r
+        low-rank part P Gamma^-1 Q^T of its r <= 2 corrections, P and Q
+        their traces at the points and at the nodes (``partial_matrix``).
+        Along an axis with more nodes than the other axes hold together,
+        always in 1D, it is applied by its factors,
+        K lam = G lam - P (Gamma^-1 Q^T lam): the r
         coefficients are carried at D + 10 digits and enter the dots as
         they are.  Along the other axes its m_d x n_d entries are formed
         once instead (see ``numerics.mode_products``).  On uniform grids
@@ -448,9 +449,7 @@ class Solution(ScalarField):
             k.partial_matrix(m, pts, nodes, uniform)
             for k, m, pts, nodes in zip(self.kernels, orders, axes, self.grid.axes)
         ]
-        parts = [(self.lam, self.grid.counts, mats)]
-        if self.hom is not None:
-            parts += self.hom.parts(orders, axes)
+        parts = [(self.lam, self.grid.counts, mats), *self.hom.parts(orders, axes)]
         return mode_sum(ctx, parts, [len(pts) for pts in axes])
 
     def boundary_residual(self, d, side, problem, tpoint=()):

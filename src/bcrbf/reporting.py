@@ -10,6 +10,7 @@ worker processes; rows come back in input order regardless of job count.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -116,13 +117,19 @@ def error_metrics(solution, exact, ctx):
 
     The solution and the exact field are both evaluated on the grid as a
     whole; an exact field with only the per-point methods (no
-    ``partial_axes``) is evaluated point by point.
+    ``partial_axes``) is evaluated point by point.  A value that is not
+    finite on either side raises BcrbfError naming that side: a maximum
+    would pass over a nan.
     """
     axes = evaluation_axes(solution.grid.domain, ctx)
     approx = solution.evaluate_axes(axes)
     zeros = (0,) * len(axes)
     evaluate = getattr(exact, "partial_axes", None)
     values = evaluate(zeros, axes) if evaluate else pointwise(exact, zeros, axes)
+    isfinite = math.isfinite if ctx.mode == "float64" else ctx.mp.isfinite
+    for side, vals in (("solution", approx), ("exact solution", values)):
+        if not all(map(isfinite, vals)):
+            raise BcrbfError(f"the {side} is not finite on the evaluation grid")
     max_err = max([ctx.zero, *(abs(a - u) for a, u in zip(approx, values))])
     max_exact = max([ctx.zero, *(abs(u) for u in values)])
     rel = max_err / max_exact if max_exact > 0 else max_err
@@ -178,7 +185,7 @@ def run_example(
     )
     start = time.perf_counter()
     try:
-        problem = record.make(ctx, eps) if record.has_eps else record.make(ctx)
+        problem = record.make(ctx, eps)
         if method == "constrained":
             sol = solve(problem, counts, shape, ctx, mode=mode, scheme=scheme)
         else:

@@ -251,7 +251,5 @@ def per_entry_expansion(sol, orders, axes):
         dense_axis_matrix(k, m, pts, nodes)
         for k, m, pts, nodes in zip(sol.kernels, orders, axes, sol.grid.axes)
     ]
-    parts = [(sol.lam, sol.grid.counts, mats)]
-    if sol.hom is not None:
-        parts += sol.hom.parts(orders, axes)
+    parts = [(sol.lam, sol.grid.counts, mats), *sol.hom.parts(orders, axes)]
     return mode_sum(ctx, parts, [len(pts) for pts in axes]), mats

@@ -60,7 +60,7 @@ def test_chebyshev_axes_evaluate_entry_by_entry():
     """Chebyshev nodes keep one exp per entry.  In 1D each value is one
     exact dot of the per-entry Gaussian row, the correction traces
     d^m phi_k(x) and the map's monomial row with lam, the coefficients
-    -psi_k . lam / gamma_k, carried at D + 10 digits, and the map's
+    -phi_k . lam / gamma_k, carried at D + 10 digits, and the map's
     coefficients: bit for bit, orders 0-2 on the 201-point grid."""
     sol = _solution("ex1", (72,), 150, "direct", "chebyshev-interior")
     ctx, (kernel,), (nodes,) = sol.ctx, sol.kernels, sol.grid.axes
@@ -68,8 +68,8 @@ def test_chebyshev_axes_evaluate_entry_by_entry():
     (pts,) = evaluation_axes(UNIT, ctx)
     work = ctx.with_digits(ctx.digits + 10).mp
     ext = list(sol.lam) + [
-        -(work.fdot([c.psi.deriv(y, 0) for y in nodes], sol.lam) / c.gamma)
-        for c in kernel.corrections
+        -(work.fdot([t.deriv(y, 0) for y in nodes], sol.lam) / g)
+        for t, g in zip(kernel.traces, kernel.gammas)
     ]
     for m in (0, 1, 2):
         gauss = dense_axis_matrix(kernel.base, m, pts, nodes)
@@ -77,7 +77,7 @@ def test_chebyshev_axes_evaluate_entry_by_entry():
         hom_coeffs = [v for c, _, _ in parts for v in c]
         ref = [
             ctx.mp.fdot(
-                row + [c.phi.deriv(x, m) for c in kernel.corrections]
+                row + [t.deriv(x, m) for t in kernel.traces]
                 + [v for _, _, (mat,) in parts for v in mat[i]],
                 ext + hom_coeffs,
             )

@@ -119,18 +119,18 @@ def test_linearity_property():
 
 def test_kernel_slot_traces():
     k = GaussianKernel(1.0)
-    trace = KernelTrace(k, make_dirichlet(0.0), "first")  # t -> exp(-t^2)
+    trace = KernelTrace(k, make_dirichlet(0.0))  # t -> exp(-t^2)
     assert trace(0.7) == pytest.approx(math.exp(-0.49))
-    # derivative of the trace at y = 1: d/dy exp(-y^2) = -2 e^-1
+    # derivative of the trace at t = 1: d/dt exp(-t^2) = -2 e^-1
     assert trace.deriv(1.0, 1) == pytest.approx(-2 * math.exp(-1))
-    neum = KernelTrace(k, make_neumann(0.0), "second")
+    neum = KernelTrace(k, make_neumann(0.0))
     assert neum(0.0) == pytest.approx(0.0)  # odd derivative at zero separation
 
 
 def test_trace_derivatives_match_finite_differences():
     k = GaussianKernel(1.3)
     L = make_robin(0.7, -1.2, 0.4)
-    trace = KernelTrace(k, L, "first")
+    trace = KernelTrace(k, L)
 
     def as_bivariate(_, t):
         return trace(t)
@@ -155,9 +155,9 @@ def test_bilinear_slot_commutation():
     l2 = make_multipoint(0.0, [(0.5, 0.3), (0.5, 0.8)])
     direct = bilinear(l1, l2, k)
     # apply L1 first then L2, and the other way around
-    t1 = KernelTrace(k, l1, "first")
+    t1 = KernelTrace(k, l1)
     via_first = apply_to_function(l2, t1)
-    t2 = KernelTrace(k, l2, "second")
+    t2 = KernelTrace(k, l2)
     via_second = apply_to_function(l1, t2)
     assert direct == pytest.approx(via_first, rel=1e-12)
     assert direct == pytest.approx(via_second, rel=1e-12)

@@ -60,7 +60,7 @@ def test_kansa_grid_includes_boundary():
     sol = kansa_solve(_laplace_1d(ctx), (5,), 1.0, ctx)
     assert sol.grid.axes[0][0] == 0.0
     assert sol.grid.axes[0][-1] == 1.0
-    assert sol.hom is None
+    assert sol.hom.terms == ()  # the zero map
 
 
 def test_kansa_bc_rows_hold_at_boundary_nodes():

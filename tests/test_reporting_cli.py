@@ -1,16 +1,21 @@
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
+from bcrbf.benchmarks import get_example
 from bcrbf.cli import main
+from bcrbf.errors import BcrbfError
 from bcrbf.numerics import FLOAT64, Precision
+from bcrbf.pseudospectral import Solution, solve
 from bcrbf.reporting import (
     CSV_COLUMNS,
     RunReport,
     _sci,
     emit,
+    error_metrics,
     evaluation_axes,
     grid_label,
     parse_counts,
@@ -251,6 +256,44 @@ def test_cli_rejects_nonpositive_shape_and_steps(capsys):
               "--shape-max", "1", "--steps", "0", "--precision", "float64"])
     assert exc.value.code == 2
     assert "--steps" in capsys.readouterr().err
+
+
+def test_cli_rejects_nonfinite_or_nonpositive_numbers(capsys):
+    """--eps, --shape, --shape-min and --shape-max take finite numbers > 0
+    only; anything else is a bad argument (exit 2, no traceback)."""
+    solve = ["solve", "--example", "ex1", "--n", "8", "--precision", "float64"]
+    sweep = ["sweep", "--example", "ex1", "--n", "8", "--precision", "float64"]
+    cases = [
+        *(solve + ["--shape", "1", "--eps", v] for v in ("0", "-0.5", "nan", "inf")),
+        *(solve + ["--shape", v] for v in ("nan", "inf", "1e400", "one")),
+        sweep + ["--shape-min", "nan", "--shape-max", "1"],
+        sweep + ["--shape-min", "0.1", "--shape-max", "inf"],
+    ]
+    for argv in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "finite number > 0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(sweep + ["--shape-min", "1", "--shape-max", "0.5"])
+    assert exc.value.code == 2
+
+
+def test_error_metrics_rejects_nonfinite_values(capsys):
+    """A nan on either side of the error is a failed run, not an error of
+    zero: at eps = 1e-320 ex1's exact solution is nan in float64."""
+    rep = run_example("ex1", "constrained", (8,), 1.0, FLOAT64, eps=1e-320)
+    assert rep.status == "failed"
+    assert "exact solution is not finite" in rep.message
+    code = main(["solve", "--example", "ex1", "--n", "8", "--eps", "1e-320",
+                 "--shape", "1", "--precision", "float64"])
+    assert code == 3
+    assert "not finite" in capsys.readouterr().err
+    problem = get_example("ex1").make(FLOAT64, 0.5)
+    sol = solve(problem, (8,), 1.0, FLOAT64)
+    broken = Solution(FLOAT64, sol.grid, sol.kernels, [math.nan] * 8, sol.hom)
+    with pytest.raises(BcrbfError, match="the solution is not finite"):
+        error_metrics(broken, problem.exact, FLOAT64)
 
 
 def test_cli_numerical_failure_exit_3(capsys):
