@@ -19,6 +19,11 @@ threads (see ``numerics``).
 
 from __future__ import annotations
 
+from functools import partial
+from operator import sub
+
+from mpmath.libmp import mpf_mul, mpf_pos, mpf_sub
+
 from .errors import UnsupportedOrder
 from .numerics import FLOAT64
 
@@ -116,15 +121,25 @@ class GaussianKernel:
                 [self._scaled(m, 0, x - y, e) for y, e in zip(nodes, row)]
                 for x, row in zip(xs, gauss)
             ]
+        if self.ctx.mode == "mp":
+            # an offset's raw tuple is canonical: it keys the offset as its
+            # value does, and hashes as a tuple
+            mp = self.ctx.mp
+            prec, rnd = mp._prec_rounding
+            offset, number = partial(mpf_sub, prec=prec, rnd=rnd), mp.make_mpf
+            xs, nodes = [x._mpf_ for x in xs], [y._mpf_ for y in nodes]
+        else:
+            offset, number = sub, float
         values = {}
         rows = []
         for x in xs:
             row = []
             for y in nodes:
-                d = x - y
-                v = values.get(d)
+                key = offset(x, y)
+                v = values.get(key)
                 if v is None:
-                    v = values[d] = self._scaled(m, 0, d, self._gauss(d))
+                    d = number(key)
+                    v = values[key] = self._scaled(m, 0, d, self._gauss(d))
                 row.append(v)
             rows.append(row)
         return rows
@@ -139,7 +154,8 @@ class GaussianKernel:
         The j-th entry carries about j^2 / 2 roundings, so the recurrence
         runs with digits to spare for n^2 of them and each entry is then
         rounded to the kernel's digits: within a unit in the last place
-        of exp.  q is computed once per node spacing.
+        of exp.  q is computed once per node spacing.  The recurrence
+        steps on raw ``_mpf_`` tuples at the work digits.
         """
         ctx, n = self.ctx, len(nodes)
         digits = ctx.digits + 5 + 2 * len(str(n))
@@ -150,16 +166,20 @@ class GaussianKernel:
         q = self._ratios.get((digits, h))
         if q is None:
             q = self._ratios.setdefault((digits, h), work.exp(-2 * c2 * h * h))
+        wprec, wrnd = work._prec_rounding
+        prec, rnd = ctx.mp._prec_rounding
+        make = ctx.mp.make_mpf
+        q = q._mpf_
         rows = []
         for x in xs:
             t = work.convert(x) - y0
-            g = work.exp(-c2 * t * t)
-            r = work.exp(c2 * h * (2 * t - h))
+            g = work.exp(-c2 * t * t)._mpf_
+            r = work.exp(c2 * h * (2 * t - h))._mpf_
             row = []
             for _ in range(n):
-                row.append(ctx.num(g))
-                g *= r
-                r *= q
+                row.append(make(mpf_pos(g, prec, rnd)))
+                g = mpf_mul(g, r, wprec, wrnd)
+                r = mpf_mul(r, q, wprec, wrnd)
             rows.append(row)
         return rows
 

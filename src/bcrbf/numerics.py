@@ -20,9 +20,13 @@ coefficients, the corrected kernel entries and the homogenization map's
 trace sums -- is one kernel, ``dot``.  It forms each product exactly from
 the raw mantissas and exponents of its operands, at whatever digits they
 carry, adds them in fixed point and rounds once at the digits of its
-context.  Its results are bit-identical to mpmath's ``fdot`` on the same
-operands, at about half the cost per term at 100-150 digits, and it
-needs no converted copies of them.
+context, bit-identical to mpmath's ``fdot`` on the same operands.  It
+takes two operand forms.  Sequences of numbers are summed term by term,
+at about half ``fdot``'s cost per term at 100-150 digits.  ``Aligned``
+vectors, stored once as integer mantissas at one exponent, are summed by
+one C-level multiply-sum whenever their products span at most 2 * prec
+bits of exponent, where ``mpf_sum`` provably keeps every term: the LU
+keeps its factors in that form, and its sweep and solves read them there.
 
 mp digit counts differ inside a computation where a D-digit answer needs
 wider intermediates: ``refine`` factors at D plus guard digits and
@@ -45,9 +49,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul, neg, sub, truediv
 
 import mpmath
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import (
+    from_man_exp,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_neg,
+    mpf_sub,
+    mpf_sum,
+)
 
 from .errors import SingularMatrix
 
@@ -206,8 +220,31 @@ def mat_vec(a, x):
     return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
 
 
+def _abs_gt(x, y):
+    """|x| > |y| for finite raw ``_mpf_`` tuples, compared exactly."""
+    _, xm, xe, xb = x
+    _, ym, ye, yb = y
+    if not (xm and ym):
+        return bool(xm)
+    if xe + xb != ye + yb:
+        return xe + xb > ye + yb
+    if xe > ye:
+        return xm << (xe - ye) > ym
+    return xm > ym << (ye - xe)
+
+
 def max_abs(a):
-    return max(abs(v) for row in a for v in row)
+    """The largest |entry|, of the first entry of largest magnitude.  mp
+    entries are compared exactly on their raw ``_mpf_`` tuples."""
+    best = a[0][0]
+    if not hasattr(best, "_mpf_"):
+        return max(abs(v) for row in a for v in row)
+    top = best._mpf_
+    for row in a:
+        for v in row:
+            if _abs_gt(v._mpf_, top):
+                best, top = v, v._mpf_
+    return abs(best)
 
 
 def norm_inf(a):
@@ -218,14 +255,102 @@ def norm_inf(a):
 
 
 def norm_1(a):
-    return max(sum(abs(row[j]) for row in a) for j in range(len(a[0])))
+    """The largest column sum of |a_ij|, the first if several.  A column is
+    summed down its rows as ``sum`` sums it: in mp each |a_ij| is rounded
+    at the digits of its own context and each partial sum at those of the
+    column's first entry, on raw ``_mpf_`` tuples."""
+    if not hasattr(a[0][0], "_mpf_"):
+        return max(sum(abs(row[j]) for row in a) for j in range(len(a[0])))
+    best = None
+    for col in zip(*a):
+        prec, rnd = col[0].context._prec_rounding
+        total = fzero
+        for v in col:
+            total = mpf_add(total, mpf_abs(v._mpf_, *v.context._prec_rounding), prec, rnd)
+        if best is None or _abs_gt(total, best):
+            best, context = total, col[0].context
+    return context.make_mpf(best)
 
 
 def check_finite(a, what="matrix"):
+    """Raise ValueError on an infinite or nan entry.  An mp entry is read as
+    its raw ``_mpf_``: it is special when its mantissa is 0 and its
+    exponent is not."""
     for row in a:
         for v in row:
-            if not mpmath.isfinite(v):
+            try:
+                _, man, exp, _ = v._mpf_
+                finite = man or not exp
+            except AttributeError:
+                finite = mpmath.isfinite(v)
+            if not finite:
                 raise ValueError(f"non-finite entry in {what}")
+
+
+class Aligned:
+    """A vector of mp numbers stored once for many ``dot`` products.
+
+    Entry i is ``ints[i] * 2**lo``: a signed integer mantissa aligned at
+    ``lo``, the lowest exponent of the nonzero entries' raw ``_mpf_``;
+    ``hi`` is the highest (both None while no entry is nonzero).  It is
+    built from raw tuples of any digits, and grows at either end
+    (``append``, ``insert(0, raw)``): an entry below ``lo`` shifts the
+    others up once.  Every entry is finite.
+    """
+
+    __slots__ = ("ints", "lo", "hi")
+
+    def __init__(self, raws=()):
+        raws = list(raws)
+        exps = [exp for _, man, exp, _ in raws if man]
+        self.lo = min(exps) if exps else None
+        self.hi = max(exps) if exps else None
+        self.ints = [self._int(raw) for raw in raws]
+
+    def _int(self, raw):
+        sign, man, exp, _ = raw
+        if not man:
+            if exp:
+                raise ValueError("non-finite entry in an aligned vector")
+            return 0
+        man <<= exp - self.lo
+        return -man if sign else man
+
+    def _admit(self, raw):
+        """raw's integer, with lo lowered first (in place) if raw needs it."""
+        man, exp = raw[1], raw[2]
+        if man:
+            if self.lo is None:
+                self.lo = self.hi = exp
+            elif exp < self.lo:
+                shift = self.lo - exp
+                self.ints[:] = [v << shift for v in self.ints]
+                self.lo = exp
+            elif exp > self.hi:
+                self.hi = exp
+        return self._int(raw)
+
+    def append(self, raw):
+        self.ints.append(self._admit(raw))
+
+    def insert(self, i, raw):
+        self.ints.insert(i, self._admit(raw))
+
+    def __getitem__(self, i):
+        """Entry i as a raw ``_mpf_`` tuple."""
+        return from_man_exp(self.ints[i], self.lo or 0)
+
+
+def _dot_aligned(us, vs, prec, rnd):
+    """The raw sum of us[i] * vs[i] over two ``Aligned`` vectors, rounded
+    once at ``prec`` bits, bit-identical to ``fdot`` (see ``dot``)."""
+    if us.lo is None or vs.lo is None:
+        return fzero
+    exp = us.lo + vs.lo
+    products = map(mul, us.ints, vs.ints)
+    if us.hi + vs.hi - exp <= 2 * prec:
+        return from_man_exp(sum(products), exp, prec, rnd)
+    return mpf_sum([from_man_exp(p, exp) for p in products], prec, rnd)
 
 
 def dot(ctx, us, vs):
@@ -234,27 +359,44 @@ def dot(ctx, us, vs):
     In mp mode this is the one exact inner-product kernel: the sum is
     formed exactly and rounded once, at the context's digits, and the
     result is bit-identical to the context's ``fdot`` (mpmath's
-    ``mpf_sum`` rules, including its drop rule).  It reads each operand's
-    raw ``_mpf_`` (sign, mantissa, exponent, bit count), whatever context
-    the operand carries, so nothing is converted first.  Each product is
-    an integer mantissa and an exponent; zero products are skipped; the
-    running sum is one integer mantissa shifted to the smaller exponent,
-    except that a term more than 2 * prec bits above the sum replaces it
-    and one more than 2 * prec bits below it is dropped, as ``mpf_sum``
-    does.  The loop uses only integer operations that Python ``int`` and
-    gmpy2 ``mpz`` mantissas share.  An operand without ``_mpf_`` (a Python
-    number or an mpc) or an infinite or nan one sends the whole sum
-    through ``fdot``; iterators are read into lists first, so that
-    happens before any term is summed twice.
+    ``mpf_sum`` rules, including its drop rule).  It takes two operand
+    forms, and reads each operand at its own digits, whatever its context,
+    so nothing is converted first.
+
+    Two ``Aligned`` vectors, stored once for many products: call the
+    highest minus the lowest exponent that their nonzero products can have
+    their window.  Within a window of 2 * prec bits ``mpf_sum`` can
+    neither drop a term, whose top bit would have to lie more than
+    2 * prec bits below the running sum's lowest bit (never above the
+    highest product exponent), nor let a term replace the sum, whose
+    lowest bit would have to lie more than 2 * prec bits above the sum's
+    top bit (never below the lowest product exponent).  So the sum is
+    exact, and the dot is one C-level ``sum(map(mul, ...))`` of the
+    integers, rounded once.  A wider window sums the exact products
+    through ``mpf_sum`` itself.
+
+    Sequences of numbers: the loop reads each operand's raw ``_mpf_``
+    (sign, mantissa, exponent, bit count).  Each product is an integer
+    mantissa and an exponent; zero products are skipped; the running sum
+    is one integer mantissa shifted to the smaller exponent, except that a
+    term more than 2 * prec bits above the sum replaces it and one more
+    than 2 * prec bits below it is dropped, as ``mpf_sum`` does.  The loop
+    uses only integer operations that Python ``int`` and gmpy2 ``mpz``
+    mantissas share.  An operand without ``_mpf_`` (a Python number or an
+    mpc) or an infinite or nan one sends the whole sum through ``fdot``;
+    iterators are read into lists first, so that happens before any term
+    is summed twice.
     """
     if ctx.mode != "mp":
-        return sum(u * v for u, v in zip(us, vs))
+        return sum(map(mul, us, vs))
     mp = ctx.mp
+    prec, rnd = mp._prec_rounding
+    if type(us) is Aligned:
+        return mp.make_mpf(_dot_aligned(us, vs, prec, rnd))
     if not isinstance(us, (list, tuple)):
         us = list(us)
     if not isinstance(vs, (list, tuple)):
         vs = list(vs)
-    prec, rnd = mp._prec_rounding
     limit = 2 * prec
     man = exp = 0
     try:
@@ -485,23 +627,80 @@ def mode_sum(ctx, parts, shape):
     return out
 
 
-def _minus_dot(ctx, s, us, vs):
-    """s - sum(u * v), the sum formed by ``dot``.  In mp mode the difference
-    is rounded at the context's digits whatever the context of ``s``."""
-    return -(dot(ctx, us, vs) - s)
-
-
 # -- LU factorization with partial pivoting ---------------------------------
 
 
+class _FloatOps:
+    """The scalars of a float64 LU: floats, and plain lists as vectors."""
+
+    vector = scalars = numbers = list
+    sub, div, neg = sub, truediv, neg
+
+    @staticmethod
+    def dot(us, vs):
+        return sum(map(mul, us, vs))
+
+    @staticmethod
+    def bigger(x, y):
+        return abs(x) > abs(y)
+
+
+class _MpOps:
+    """The scalars of an mp LU: raw ``_mpf_`` tuples, each result rounded
+    at the digits of one context, and ``Aligned`` vectors."""
+
+    vector = Aligned
+    neg = staticmethod(mpf_neg)
+    bigger = staticmethod(_abs_gt)
+
+    def __init__(self, mp):
+        self.mp = mp
+        self.prec, self.rnd = mp._prec_rounding
+
+    def dot(self, us, vs):
+        return _dot_aligned(us, vs, self.prec, self.rnd)
+
+    def sub(self, x, y):
+        return mpf_sub(x, y, self.prec, self.rnd)
+
+    def div(self, x, y):
+        return mpf_div(x, y, self.prec, self.rnd)
+
+    def scalars(self, vs):
+        """Raw tuples of ``vs``, each taken exactly."""
+        convert = self.mp.convert
+        return [convert(v)._mpf_ for v in vs]
+
+    def numbers(self, xs):
+        make = self.mp.make_mpf
+        return [make(x) for x in xs]
+
+
+def _minus_dot(ops, s, us, vs):
+    """s - sum(u * v) as -(dot - s): the dot rounded once, then the
+    difference (in float64 -(d - s), not s - d, keeps the sign of a zero)."""
+    return ops.neg(ops.sub(ops.dot(us, vs), s))
+
+
 class LUFactorization:
-    """In-place LU factors of P*A = L*U with row partial pivoting.
+    """LU factors of P*A = L*U with row partial pivoting.
 
     Row pivoting only: at desk scale (n <= ~500) full pivoting buys nothing.
-    Both precisions eliminate in one order, left-looking (Crout): each
-    entry of L and U is one ``dot`` product, which mp sums exactly and
-    rounds once.  The sweep is strictly sequential, so repeated runs are
-    bit-identical per precision mode.
+    Both precisions eliminate in one order, left-looking (Crout): entry
+    (i, k) of L or U is A's entry minus one ``dot`` of the row of L and the
+    column of U before it, rounded once (mp sums it exactly); the entries
+    of L are then divided by their pivot, the first entry of largest
+    magnitude in its column.  The sweep is strictly sequential, so
+    repeated runs are bit-identical per precision mode.
+
+    mp works on raw ``_mpf_`` tuples and keeps the factors only as
+    ``Aligned`` vectors, one for each way they are read: L by rows and U
+    by columns, which grow one entry per step of the sweep, and U by rows
+    and L by columns, for the two solves.  Every dot of the sweep and the
+    solves is then one C-level multiply-sum rounded once, bit for bit the
+    dot of the number objects; the factors cost two integers per entry
+    and the pivots one raw tuple each.  float64 runs the same loop on
+    plain lists and floats.
 
     The factors, and the solutions of ``solve_vec`` and
     ``solve_transpose_vec``, are at the digits of ``ctx``; the entries of
@@ -516,66 +715,90 @@ class LUFactorization:
         self.ctx = ctx
         self.n = n
         self.norm1_a = norm_1(a)
-        lu = [_exactly(ctx, row) for row in a]
-        swaps = []
+        ops = self._ops = _MpOps(ctx.mp) if ctx.mode == "mp" else _FloatOps
+        vector, dot, sub, div, bigger = ops.vector, ops.dot, ops.sub, ops.div, ops.bigger
         tol_pivot = ctx.pivot_tol(max_abs(a))
+        (tol,) = ops.scalars([tol_pivot])
+        rows = [ops.scalars(row) for row in a]
+        lrows = [vector() for _ in range(n)]  # L[i][:k], swapped with A's rows
+        ucols = [vector() for _ in range(n)]  # U[:k][j]
+        urows, pivots, swaps = [], [], []
         for k in range(n):
+            # column k must be up to date before its pivot is chosen
             if k:
-                # column k must be up to date before its pivot is chosen
-                col = [lu[j][k] for j in range(k)]
-                for i in range(k, n):
-                    lu[i][k] -= dot(ctx, lu[i][:k], col)
-            p = max(range(k, n), key=lambda i: abs(lu[i][k]))
-            if abs(lu[p][k]) <= tol_pivot:
+                ucol = ucols[k]
+                col = [sub(rows[i][k], dot(lrows[i], ucol)) for i in range(k, n)]
+            else:
+                col = [row[0] for row in rows]
+            p = 0
+            for i in range(1, n - k):
+                if bigger(col[i], col[p]):
+                    p = i
+            piv = col[p]
+            if not bigger(piv, tol):
+                (number,) = ops.numbers([piv])
                 raise SingularMatrix(
                     f"pivot {k} below tolerance "
                     f"{mpmath.nstr(tol_pivot, 3)} "
-                    f"(|pivot| = {mpmath.nstr(abs(lu[p][k]) + 0.0, 3)})",
+                    f"(|pivot| = {mpmath.nstr(abs(number) + 0.0, 3)})",
                     pivot_index=k,
                 )
-            if p != k:
-                lu[k], lu[p] = lu[p], lu[k]
-            swaps.append(p)
-            row_k = lu[k]
-            piv = row_k[k]
+            if p:
+                rows[k], rows[k + p] = rows[k + p], rows[k]
+                lrows[k], lrows[k + p] = lrows[k + p], lrows[k]
+                col[0], col[p] = piv, col[0]
+            swaps.append(k + p)
+            pivots.append(piv)
+            row, lrow = rows[k], lrows[k]
             if k:
-                for j in range(k + 1, n):
-                    col = [lu[i][j] for i in range(k)]
-                    row_k[j] -= dot(ctx, row_k[:k], col)
-            for i in range(k + 1, n):
-                lu[i][k] /= piv
-        self.lu = lu
+                urow = [sub(row[j], dot(lrow, ucols[j])) for j in range(k + 1, n)]
+            else:
+                urow = row[1:]
+            for ucol, u in zip(ucols[k + 1:], urow):
+                ucol.append(u)
+            urows.append(vector(urow))
+            for lrow, v in zip(lrows[k + 1:], col[1:]):
+                lrow.append(div(v, piv))
+        self.lrows, self.ucols, self.urows = lrows, ucols, urows
+        self.lcols = [vector([lrows[i][j] for i in range(j + 1, n)]) for j in range(n)]
+        self.pivots = pivots
         self.swaps = swaps
 
     def solve_vec(self, b):
         """Solve A x = b for one right-hand side."""
-        n, lu, ctx = self.n, self.lu, self.ctx
-        x = list(b)
+        ops, n = self._ops, self.n
+        x = ops.scalars(b)
         for k, p in enumerate(self.swaps):
             if p != k:
                 x[k], x[p] = x[p], x[k]
-        for i in range(1, n):
-            x[i] = _minus_dot(ctx, x[i], lu[i][:i], x[:i])
+        done = ops.vector()  # x[:i]
+        for i, lrow in enumerate(self.lrows):
+            if i:
+                x[i] = _minus_dot(ops, x[i], lrow, done)
+            done.append(x[i])
+        done = ops.vector()  # x[i + 1:]
         for i in range(n - 1, -1, -1):
-            row = lu[i]
-            x[i] = _minus_dot(ctx, x[i], row[i + 1:], x[i + 1:]) / row[i]
-        return x
+            x[i] = ops.div(_minus_dot(ops, x[i], self.urows[i], done), self.pivots[i])
+            done.insert(0, x[i])
+        return ops.numbers(x)
 
     def solve_transpose_vec(self, b):
         """Solve A^T x = b (used by the 1-norm condition estimator)."""
-        n, lu, ctx = self.n, self.lu, self.ctx
-        x = list(b)
-        for i in range(n):
-            col = [lu[j][i] for j in range(i)]
-            x[i] = _minus_dot(ctx, x[i], col, x[:i]) / lu[i][i]
+        ops, n = self._ops, self.n
+        x = ops.scalars(b)
+        done = ops.vector()  # x[:i]
+        for i, ucol in enumerate(self.ucols):
+            x[i] = ops.div(_minus_dot(ops, x[i], ucol, done), self.pivots[i])
+            done.append(x[i])
+        done = ops.vector()  # x[i + 1:]
         for i in range(n - 1, -1, -1):
-            col = [lu[j][i] for j in range(i + 1, n)]
-            x[i] = _minus_dot(ctx, x[i], col, x[i + 1:])
+            x[i] = _minus_dot(ops, x[i], self.lcols[i], done)
+            done.insert(0, x[i])
         for k in range(n - 1, -1, -1):
             p = self.swaps[k]
             if p != k:
                 x[k], x[p] = x[p], x[k]
-        return x
+        return ops.numbers(x)
 
     def solve(self, b):
         """Solve A X = B where B is n x k (list of rows)."""

@@ -524,6 +524,7 @@ def solve(problem, counts, shape, ctx, mode="direct", scheme="uniform-interior")
     ]
 
     cond_a = _cond_a(ctx, tables)
+    del tables  # the per-axis tables are not read again: free them for the factors
     if mode == "direct":
         def factor(fctx):
             return lu_factor(fctx, a_l)

@@ -190,11 +190,12 @@ def run_example(
             sol = solve(problem, counts, shape, ctx, mode=mode, scheme=scheme)
         else:
             sol = kansa_solve(problem, counts, shape, ctx)
+        # the solve's estimates stand even when the error metric fails
+        report.cond_A = _fmt_cond(sol.diagnostics.get("cond_A"))
+        report.cond_AL = _fmt_cond(sol.diagnostics.get("cond_AL"))
         max_err, rel = error_metrics(sol, problem.exact, ctx)
         report.max_abs_err = float(max_err)
         report.rel_err = float(rel)
-        report.cond_A = _fmt_cond(sol.diagnostics.get("cond_A"))
-        report.cond_AL = _fmt_cond(sol.diagnostics.get("cond_AL"))
     except BcrbfError as exc:
         report.status = "failed"
         report.message = f"{type(exc).__name__}: {exc}"

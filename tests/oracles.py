@@ -4,19 +4,22 @@ The oracles deliberately avoid the package's analytic derivative paths:
 finite differences check mixed partials, and a Jacobi sweep checks
 definiteness decisions, each from first principles.  A Cholesky
 factorization tests positive definiteness, and ``per_entry_expansion``
-evaluates a solution from kernel matrices formed entry by entry.  The
-helpers at the end are conveniences over the package that only tests use.
+evaluates a solution from kernel matrices formed entry by entry, and
+``CroutLU`` is the LU factorization on number objects that the package's
+factors on aligned integers must reproduce bit for bit.  The helpers at
+the end are conveniences over the package that only tests use.
 """
 
 import math
 
 import mpmath
 
-from bcrbf.errors import BcrbfError
+from bcrbf.errors import BcrbfError, SingularMatrix
 from bcrbf.functionals import make_dirichlet
 from bcrbf.homogenize import homogenize_nd
 from bcrbf.numerics import (
     check_finite,
+    dot,
     lu_factor,
     max_abs,
     mode_sum,
@@ -141,6 +144,82 @@ def cholesky(ctx, a):
                 s -= g[i][k] * g[j][k]
             g[i][j] = s / gjj
     return g
+
+
+class CroutLU:
+    """P A = L U by the left-looking (Crout) sweep on number objects, the
+    bit-identity oracle of ``numerics.LUFactorization``.
+
+    Each entry of L and U is its entry of A minus one ``dot`` (summed
+    exactly and rounded once in mp), rounded at the digits of ``ctx``,
+    and the entries of L are then divided by their pivot.  The pivot is
+    the first entry of largest magnitude.  ``lu`` holds both factors in
+    place, ``swaps`` the row exchanges and ``norm1_a`` the largest column
+    sum of |A| as ``sum`` forms it; the solves subtract each ``dot`` from
+    its right-hand side entry and divide by the pivot in the same order.
+    """
+
+    def __init__(self, ctx, a):
+        n = len(a)
+        self.ctx = ctx
+        self.n = n
+        self.norm1_a = max(sum(abs(row[j]) for row in a) for j in range(n))
+        convert = (lambda v: v) if ctx.mode == "float64" else ctx.mp.convert
+        lu = [[convert(v) for v in row] for row in a]
+        swaps = []
+        tol_pivot = ctx.pivot_tol(max(abs(v) for row in a for v in row))
+        for k in range(n):
+            if k:
+                col = [lu[j][k] for j in range(k)]
+                for i in range(k, n):
+                    lu[i][k] -= dot(ctx, lu[i][:k], col)
+            p = max(range(k, n), key=lambda i: abs(lu[i][k]))
+            if abs(lu[p][k]) <= tol_pivot:
+                raise SingularMatrix(f"pivot {k}", pivot_index=k)
+            if p != k:
+                lu[k], lu[p] = lu[p], lu[k]
+            swaps.append(p)
+            row_k = lu[k]
+            piv = row_k[k]
+            if k:
+                for j in range(k + 1, n):
+                    col = [lu[i][j] for i in range(k)]
+                    row_k[j] -= dot(ctx, row_k[:k], col)
+            for i in range(k + 1, n):
+                lu[i][k] /= piv
+        self.lu = lu
+        self.swaps = swaps
+
+    def _minus_dot(self, s, us, vs):
+        return -(dot(self.ctx, us, vs) - s)
+
+    def solve_vec(self, b):
+        n, lu = self.n, self.lu
+        x = list(b)
+        for k, p in enumerate(self.swaps):
+            if p != k:
+                x[k], x[p] = x[p], x[k]
+        for i in range(1, n):
+            x[i] = self._minus_dot(x[i], lu[i][:i], x[:i])
+        for i in range(n - 1, -1, -1):
+            row = lu[i]
+            x[i] = self._minus_dot(x[i], row[i + 1:], x[i + 1:]) / row[i]
+        return x
+
+    def solve_transpose_vec(self, b):
+        n, lu = self.n, self.lu
+        x = list(b)
+        for i in range(n):
+            col = [lu[j][i] for j in range(i)]
+            x[i] = self._minus_dot(x[i], col, x[:i]) / lu[i][i]
+        for i in range(n - 1, -1, -1):
+            col = [lu[j][i] for j in range(i + 1, n)]
+            x[i] = self._minus_dot(x[i], col, x[i + 1:])
+        for k in range(n - 1, -1, -1):
+            p = self.swaps[k]
+            if p != k:
+                x[k], x[p] = x[p], x[k]
+        return x
 
 
 # -- helpers over the package -------------------------------------------------

@@ -1,12 +1,19 @@
 import itertools
+import math
 import random
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, mpf_neg
 
+from bcrbf import pseudospectral
+from bcrbf.benchmarks import get_example
 from bcrbf.errors import SingularMatrix
 from bcrbf.numerics import (
     FLOAT64,
+    Aligned,
     Precision,
     _affine_rows,
     dot,
@@ -18,6 +25,7 @@ from bcrbf.numerics import (
 )
 
 from oracles import (
+    CroutLU,
     NotSymmetric,
     cholesky,
     identity,
@@ -317,3 +325,150 @@ def test_dot_falls_back_to_fdot_for_other_operands():
 def test_dot_float64_is_the_plain_sum():
     us, vs = [0.1, 0.2, 0.3], [3.0, -1.0, 7.0]
     assert dot(FLOAT64, us, vs) == 0.1 * 3.0 + 0.2 * -1.0 + 0.3 * 7.0
+
+
+# -- aligned operands, and the LU on them --------------------------------------
+
+
+def _raw_numbers(draw, n, bits, spread):
+    """n raw tuples: signed mantissas of up to one of ``bits`` bits (0 gives
+    a zero) at exponents in [-spread, spread]."""
+    return [
+        from_man_exp(
+            draw(st.sampled_from((1, -1)))
+            * draw(st.integers(0, 2 ** draw(st.sampled_from(bits)) - 1)),
+            draw(st.integers(-spread, spread)),
+        )
+        for _ in range(n)
+    ]
+
+
+@st.composite
+def _dot_operands(draw):
+    """(digits, us, vs): mantissas of fewer, as many and more bits than the
+    context carries, zeros among them, and exponents that keep the
+    products' window within 2 * prec or spread it far wider."""
+    digits = draw(st.sampled_from((15, 30, 150)))
+    prec = Precision("mp", digits).mp.prec
+    n = draw(st.integers(0, 10))
+    bits = (1, 20, prec, prec + 60)
+    spread = draw(st.sampled_from((4, prec // 2, 2 * prec, 6 * prec)))
+    us, vs = _raw_numbers(draw, n, bits, spread), _raw_numbers(draw, n, bits, spread)
+    # a last term that cancels the largest product exactly, lifted far
+    # above the others or not, leaves the others or what mpf_sum dropped
+    if n and draw(st.booleans()):
+        i = max(range(n), key=lambda k: us[k][2] + us[k][3] + vs[k][2] + vs[k][3])
+        sign, man, exp, bc = us[i]
+        if man:
+            us[i] = (sign, man, exp + draw(st.sampled_from((0, 2 * prec, 4 * prec))), bc)
+        us.append(us[i])
+        vs.append(mpf_neg(vs[i]))
+    return digits, us, vs
+
+
+_ONE = from_man_exp(1, 0)
+_TINY = from_man_exp(1, -3 * Precision("mp", 30).mp.prec)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_dot_operands())
+# test_dot_drops_terms_as_mpf_sum_does: after 1 - 1 fdot returns 0, not
+# the tiny term, and a tiny first term is replaced by 1
+@example((30, [_ONE, _TINY, from_man_exp(-1, 0)], [_ONE] * 3))
+@example((30, [_TINY, _ONE, from_man_exp(-1, 0)], [_ONE] * 3))
+def test_aligned_dot_is_bit_identical_to_fdot(operands):
+    """A dot of two Aligned vectors is the context's fdot of their numbers,
+    bit for bit, within the 2 * prec window (one multiply-sum) and beyond
+    it (mpf_sum); and vectors grown one entry at a time at either end are
+    the ones built at once."""
+    digits, us, vs = operands
+    ctx = Precision("mp", digits)
+    make = ctx.mp.make_mpf
+    expect = _bits(ctx.mp.fdot([make(u) for u in us], [make(v) for v in vs]))
+    au, av = Aligned(us), Aligned(vs)
+    assert _bits(dot(ctx, au, av)) == expect
+    assert [au[i] for i in range(len(us))] == us
+    back, front = Aligned(), Aligned()
+    for u in us:
+        back.append(u)
+    for v in reversed(vs):
+        front.insert(0, v)
+    assert (back.ints, back.lo, back.hi) == (au.ints, au.lo, au.hi)
+    assert (front.ints, front.lo, front.hi) == (av.ints, av.lo, av.hi)
+    assert _bits(dot(ctx, back, front)) == expect
+
+
+def test_aligned_rejects_non_finite_entries():
+    ctx = Precision("mp", 30)
+    for special in (ctx.mp.inf, ctx.mp.nan):
+        with pytest.raises(ValueError):
+            Aligned([_ONE, special._mpf_])
+        with pytest.raises(ValueError):
+            Aligned().append(special._mpf_)
+
+
+def _factor_entries(fact):
+    """L below the diagonal, the pivots on it and U above it, read from
+    every orientation the factors are stored in (raw tuples in mp)."""
+    n = fact.n
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = fact.pivots[i]
+        for j in range(i):
+            out[i][j] = fact.lrows[i][j]
+            assert fact.lcols[j][i - j - 1] == out[i][j]
+        for j in range(i + 1, n):
+            out[i][j] = fact.urows[i][j - i - 1]
+            assert fact.ucols[j][i] == out[i][j]
+    return out
+
+
+def _assert_lu_is_the_oracle(ctx, a):
+    """Factors, swaps, norm1_a and both solves of LUFactorization equal the
+    oracle Crout's on number objects, bit for bit."""
+    ref, fact = CroutLU(ctx, a), lu_factor(ctx, a)
+    bits = repr if ctx.mode == "float64" else _bits
+    assert fact.swaps == ref.swaps
+    assert bits(fact.norm1_a) == bits(ref.norm1_a)
+    factors = _factor_entries(fact)
+    if ctx.mode == "float64":
+        factors = [list(map(repr, row)) for row in factors]
+    assert factors == [list(map(bits, row)) for row in ref.lu]
+    rng = random.Random(len(a))
+    for b in ([ctx.num(rng.uniform(-1, 1)) for _ in a], [row[0] for row in a]):
+        for solve, oracle in ((fact.solve_vec, ref.solve_vec),
+                              (fact.solve_transpose_vec, ref.solve_transpose_vec)):
+            assert list(map(bits, solve(b))) == list(map(bits, oracle(b)))
+
+
+@pytest.mark.parametrize("prec", ["mp:30", "mp:200", "float64"])
+def test_lu_on_hilbert_matrices_is_the_oracle_crout(prec):
+    """Hilbert matrices of orders 1-22, far beyond 1/u in mp:30; also
+    factored at 30 digits more than they carry."""
+    ctx = Precision.parse(prec)
+    for n in (1, 2, 7, 22):
+        _assert_lu_is_the_oracle(ctx, hilbert(ctx, n))
+    _assert_lu_is_the_oracle(ctx.with_digits(ctx.digits + 30), hilbert(ctx, 22))
+
+
+@pytest.mark.parametrize("ident, counts, shape, digits, eps", [
+    ("ex1", (72,), 0.18, 150, 0.5),
+    ("ex4", (8, 8), 0.01, 150, None),
+])
+def test_lu_on_collocation_systems_is_the_oracle_crout(
+        ident, counts, shape, digits, eps, monkeypatch):
+    """The A_L that the direct route factors for ex1 N=72 and ex4 8x8 at
+    mp:150, at the digits it is factored at."""
+    factored = []
+    factor = pseudospectral.lu_factor
+
+    def captured(fctx, a):
+        factored.append((fctx, a))
+        return factor(fctx, a)
+
+    monkeypatch.setattr(pseudospectral, "lu_factor", captured)
+    ctx = Precision("mp", digits)
+    pseudospectral.solve(get_example(ident).make(ctx, eps), counts, shape, ctx)
+    fctx, a_l = factored[-1]
+    assert len(a_l) == math.prod(counts)
+    _assert_lu_is_the_oracle(fctx, a_l)

@@ -296,6 +296,24 @@ def test_error_metrics_rejects_nonfinite_values(capsys):
         error_metrics(broken, problem.exact, FLOAT64)
 
 
+def test_condition_estimates_survive_a_failed_error_metric(capsys):
+    """The solve succeeds and the error metric fails: the row keeps the
+    condition estimates of the solve, and only the errors read nan."""
+    problem = get_example("ex1").make(FLOAT64, 1e-320)
+    sol = solve(problem, (8,), 1.0, FLOAT64)
+    rep = run_example("ex1", "constrained", (8,), 1.0, FLOAT64, eps=1e-320)
+    assert rep.status == "failed"
+    assert rep.cond_A == _sci(sol.diagnostics["cond_A"])
+    assert rep.cond_AL == _sci(sol.diagnostics["cond_AL"])
+    assert math.isnan(rep.max_abs_err) and math.isnan(rep.rel_err)
+    code = main(["solve", "--example", "ex1", "--n", "8", "--eps", "1e-320",
+                 "--shape", "1", "--precision", "float64"])
+    assert code == 3
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert row[5:9] == ["nan", "nan", rep.cond_A, rep.cond_AL]
+    assert "nan" not in rep.cond_A + rep.cond_AL
+
+
 def test_cli_numerical_failure_exit_3(capsys):
     code = main([
         "solve", "--example", "ex4", "--n", "6x6", "--shape", "1e-9",
