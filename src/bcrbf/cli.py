@@ -25,7 +25,7 @@ import sys
 from .benchmarks import EXAMPLES, get_example
 from .functionals import format_functional
 from .numerics import FLOAT64, Precision
-from .reporting import emit, grid_label, parse_counts, run_example, run_sweep
+from .reporting import emit, grid_label, parse_counts, run_sweep
 
 
 def _precision_arg(text):
@@ -60,10 +60,6 @@ def _example_arg(text):
     return text
 
 
-def _default_precision():
-    return os.environ.get("BCRBF_PRECISION", "mp:100")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="bcrbf",
@@ -76,8 +72,10 @@ def build_parser():
         p.add_argument("--n", required=True, type=_counts_arg, metavar="NxM")
         p.add_argument("--eps", type=_positive_arg, default=None,
                        help="perturbation parameter (ex1 only)")
+        # argparse runs a string default through type=: a bad value exits 2
         p.add_argument("--precision", type=_precision_arg,
-                       default=None, metavar="float64|mp:D")
+                       default=os.environ.get("BCRBF_PRECISION", "mp:100"),
+                       metavar="float64|mp:D")
         p.add_argument("--mode", choices=("direct", "ps"), default="direct",
                        help="constrained solver route")
         p.add_argument("--scheme",
@@ -136,7 +134,6 @@ def main(argv=None):
         sys.stdout.write(_do_list())
         return 0
 
-    precision = args.precision or Precision.parse(_default_precision())
     record = get_example(args.example)
     if len(args.n) != record.dim:
         parser.error(
@@ -146,26 +143,18 @@ def main(argv=None):
         parser.error(f"{args.example} takes no --eps parameter")
 
     if args.command == "solve":
-        methods = (
-            ("constrained", "kansa") if args.method == "both" else (args.method,)
-        )
-        reports = [
-            run_example(
-                args.example, m, args.n, args.shape, precision,
-                eps=args.eps, mode=args.mode, scheme=args.scheme,
-            )
-            for m in methods
-        ]
+        # a one-step sweep is the one shape, a row per method
+        shapes, jobs = (args.shape, args.shape, 1), 1
     else:
         if args.shape_max < args.shape_min:
             parser.error("need --shape-min <= --shape-max")
         if args.steps < 1:
             parser.error("need --steps >= 1")
-        reports = run_sweep(
-            args.example, args.method, args.n, args.shape_min, args.shape_max,
-            args.steps, precision, eps=args.eps, mode=args.mode,
-            scheme=args.scheme, jobs=args.jobs,
-        )
+        shapes, jobs = (args.shape_min, args.shape_max, args.steps), args.jobs
+    reports = run_sweep(
+        args.example, args.method, args.n, *shapes, args.precision,
+        eps=args.eps, mode=args.mode, scheme=args.scheme, jobs=jobs,
+    )
 
     text = emit(reports, args.format)
     if args.out:

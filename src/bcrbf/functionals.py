@@ -202,9 +202,20 @@ def format_functional(functional):
 
 
 def parse_functional(text, ctx=FLOAT64):
-    """Inverse of :func:`format_functional`."""
+    """Inverse of :func:`format_functional`.  Malformed text, or a number
+    that does not parse or is not finite, raises ``InvalidFunctional``."""
+
+    def num(tok):
+        try:
+            value = ctx.num(tok)
+        except ValueError:
+            value = mpmath.nan
+        if not mpmath.isfinite(value):
+            raise InvalidFunctional(f"expected a finite number, got {tok!r}")
+        return value
+
     body, _, rhs_part = text.partition("=")
-    rhs = ctx.num(rhs_part.strip()) if rhs_part.strip() else ctx.zero
+    rhs = num(rhs_part.strip()) if rhs_part.strip() else ctx.zero
     toks = body.split()
     if not toks:
         raise InvalidFunctional("empty functional text")
@@ -213,14 +224,14 @@ def parse_functional(text, ctx=FLOAT64):
     def loc(tok):
         if not tok.startswith("@"):
             raise InvalidFunctional(f"expected @location, got {tok!r}")
-        return ctx.num(tok[1:])
+        return num(tok[1:])
 
     if kind == "dirichlet" and len(toks) == 2:
         return make_dirichlet(loc(toks[1]), rhs, ctx)
     if kind == "neumann" and len(toks) == 2:
         return make_neumann(loc(toks[1]), rhs, ctx)
     if kind == "robin" and len(toks) == 4:
-        return make_robin(ctx.num(toks[1]), ctx.num(toks[2]), loc(toks[3]), rhs, ctx)
+        return make_robin(num(toks[1]), num(toks[2]), loc(toks[3]), rhs, ctx)
     if kind == "multipoint":
         head, _, rest = body.partition(":")
         htoks = head.split()
@@ -232,6 +243,6 @@ def parse_functional(text, ctx=FLOAT64):
             w = chunk.split()
             if len(w) != 2:
                 raise InvalidFunctional(f"malformed multipoint pair {chunk!r}")
-            weights.append((ctx.num(w[0]), loc(w[1])))
+            weights.append((num(w[0]), loc(w[1])))
         return make_multipoint(a, weights, rhs, ctx)
     raise InvalidFunctional(f"cannot parse functional {text!r}")

@@ -88,7 +88,7 @@ def kansa_solve(problem, counts, shape, ctx):
         "mode": "kansa",
         "shape": shape,
         "counts": tuple(counts),
-        "cond_AL": fact.cond1_estimate(),
+        "cond_AL": fact.cond1_estimate(rows),
     }
     hom = HomogenizationMap.zero(dim, ctx)
     return Solution(ctx, grid, kernels, lam, hom, None, diagnostics)

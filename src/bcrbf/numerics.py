@@ -19,14 +19,15 @@ refinement residuals, the mode products and sums, the correction
 coefficients, the corrected kernel entries and the homogenization map's
 trace sums -- is one kernel, ``dot``.  It forms each product exactly from
 the raw mantissas and exponents of its operands, at whatever digits they
-carry, adds them in fixed point and rounds once at the digits of its
-context, bit-identical to mpmath's ``fdot`` on the same operands.  It
-takes two operand forms.  Sequences of numbers are summed term by term,
-at about half ``fdot``'s cost per term at 100-150 digits.  ``Aligned``
-vectors, stored once as integer mantissas at one exponent, are summed by
-one C-level multiply-sum whenever their products span at most 2 * prec
-bits of exponent, where ``mpf_sum`` provably keeps every term: the LU
-keeps its factors in that form, and its sweep and solves read them there.
+carry, and is bit-identical to mpmath's ``fdot`` on the same operands by
+one rule: when the products' exponents span at most 2 * prec bits,
+``mpf_sum`` provably keeps every term, so their exact sum is rounded once
+at the digits of the context; a wider span is left to ``fdot`` itself.
+It takes two operand forms.  Sequences of numbers are summed term by
+term, at about 60% of ``fdot``'s cost per term at 100-150 digits.
+``Aligned`` vectors, stored once as integer mantissas at one exponent,
+are summed by one C-level multiply-sum: the LU keeps its factors in that
+form, and its sweep and solves read them there.
 
 mp digit counts differ inside a computation where a D-digit answer needs
 wider intermediates: ``refine`` factors at D plus guard digits and
@@ -356,36 +357,29 @@ def _dot_aligned(us, vs, prec, rnd):
 def dot(ctx, us, vs):
     """sum(u * v), in float64 a plain float sum.
 
-    In mp mode this is the one exact inner-product kernel: the sum is
-    formed exactly and rounded once, at the context's digits, and the
-    result is bit-identical to the context's ``fdot`` (mpmath's
-    ``mpf_sum`` rules, including its drop rule).  It takes two operand
-    forms, and reads each operand at its own digits, whatever its context,
-    so nothing is converted first.
+    In mp mode this is the one exact inner-product kernel, bit-identical
+    to the context's ``fdot`` by one rule for both operand forms.  Call
+    the highest minus the lowest exponent of the nonzero products their
+    window.  Within 2 * prec bits ``mpf_sum`` can neither drop a term,
+    whose top bit would have to lie more than 2 * prec bits below the
+    running sum's lowest bit (never above the highest product exponent),
+    nor let a term replace a nonzero sum, whose lowest bit would have to
+    lie more than 2 * prec bits above the sum's top bit (never below the
+    lowest product exponent), wherever its running sum starts.  So the
+    exact sum, rounded once at the context's digits, is the dot; a wider
+    window goes to ``fdot``, the contract itself.  Operands are read at
+    their own digits, whatever their context, so nothing is converted.
 
-    Two ``Aligned`` vectors, stored once for many products: call the
-    highest minus the lowest exponent that their nonzero products can have
-    their window.  Within a window of 2 * prec bits ``mpf_sum`` can
-    neither drop a term, whose top bit would have to lie more than
-    2 * prec bits below the running sum's lowest bit (never above the
-    highest product exponent), nor let a term replace the sum, whose
-    lowest bit would have to lie more than 2 * prec bits above the sum's
-    top bit (never below the lowest product exponent).  So the sum is
-    exact, and the dot is one C-level ``sum(map(mul, ...))`` of the
-    integers, rounded once.  A wider window sums the exact products
-    through ``mpf_sum`` itself.
-
-    Sequences of numbers: the loop reads each operand's raw ``_mpf_``
-    (sign, mantissa, exponent, bit count).  Each product is an integer
-    mantissa and an exponent; zero products are skipped; the running sum
-    is one integer mantissa shifted to the smaller exponent, except that a
-    term more than 2 * prec bits above the sum replaces it and one more
-    than 2 * prec bits below it is dropped, as ``mpf_sum`` does.  The loop
-    uses only integer operations that Python ``int`` and gmpy2 ``mpz``
-    mantissas share.  An operand without ``_mpf_`` (a Python number or an
-    mpc) or an infinite or nan one sends the whole sum through ``fdot``;
-    iterators are read into lists first, so that happens before any term
-    is summed twice.
+    Two ``Aligned`` vectors know their window before they are summed, and
+    sum within it by one C-level ``sum(map(mul, ...))`` of their integers
+    (beyond it, by ``mpf_sum`` of the exact products).  Sequences of
+    numbers are read as raw ``_mpf_`` tuples: each nonzero product is
+    added exactly into one integer at the lowest exponent so far, until
+    the window outgrows 2 * prec.  The loop uses only integer operations
+    that Python ``int`` and gmpy2 ``mpz`` mantissas share.  An operand
+    without ``_mpf_`` (a Python number or an mpc) or an infinite or nan
+    one sends the whole sum through ``fdot``; iterators are read into
+    lists first, so that happens before any term is summed twice.
     """
     if ctx.mode != "mp":
         return sum(map(mul, us, vs))
@@ -398,7 +392,8 @@ def dot(ctx, us, vs):
     if not isinstance(vs, (list, tuple)):
         vs = list(vs)
     limit = 2 * prec
-    man = exp = 0
+    man = 0
+    lo = hi = None
     try:
         for u, v in zip(us, vs):
             su, um, ue, _ = u._mpf_
@@ -411,22 +406,21 @@ def dot(ctx, us, vs):
             if su ^ sv:
                 xman = -xman
             xexp = ue + ve
-            delta = xexp - exp
-            if delta >= 0:
-                if delta > limit and (
-                    not man or delta - abs(man).bit_length() > limit
-                ):
-                    man, exp = xman, xexp
-                else:
-                    man += xman << delta
-            elif -delta > limit and -delta - abs(xman).bit_length() > limit:
-                if not man:
-                    man, exp = xman, xexp
+            if lo is None:
+                man, lo, hi = xman, xexp, xexp
+            elif xexp < lo:
+                if hi - xexp > limit:
+                    break  # the window is wider than 2 * prec
+                man = (man << (lo - xexp)) + xman
+                lo = xexp
             else:
-                man = (man << -delta) + xman
-                exp = xexp
+                if xexp > hi:
+                    if xexp - lo > limit:
+                        break
+                    hi = xexp
+                man += xman << (xexp - lo)
         else:
-            return mp.make_mpf(from_man_exp(man, exp, prec, rnd))
+            return mp.make_mpf(from_man_exp(man, lo or 0, prec, rnd))
     except AttributeError:  # an operand that is not an mpf
         pass
     return mp.fdot(us, vs)
@@ -704,7 +698,8 @@ class LUFactorization:
 
     The factors, and the solutions of ``solve_vec`` and
     ``solve_transpose_vec``, are at the digits of ``ctx``; the entries of
-    ``a`` are taken exactly, whatever their digits.
+    ``a`` are taken exactly, whatever their digits.  ``a`` is not kept,
+    and its 1-norm is formed only by ``cond1_estimate(a)``.
     """
 
     def __init__(self, ctx, a):
@@ -714,7 +709,6 @@ class LUFactorization:
         check_finite(a, "LU input")
         self.ctx = ctx
         self.n = n
-        self.norm1_a = norm_1(a)
         ops = self._ops = _MpOps(ctx.mp) if ctx.mode == "mp" else _FloatOps
         vector, dot, sub, div, bigger = ops.vector, ops.dot, ops.sub, ops.div, ops.bigger
         tol_pivot = ctx.pivot_tol(max_abs(a))
@@ -806,10 +800,12 @@ class LUFactorization:
         xs = [self.solve_vec(c) for c in cols]
         return transpose(xs)
 
-    def cond1_estimate(self):
-        """Hager-style 1-norm condition estimate ||A||_1 * est(||A^-1||_1).
+    def cond1_estimate(self, a):
+        """Hager-style 1-norm condition estimate ||a||_1 * est(||A^-1||_1)
+        of ``a``, the matrix factored: ``norm_1(a)`` is formed here, so a
+        factorization whose estimate is never asked for never forms it.
 
-        Reads only ``ctx``, ``n``, ``norm1_a``, ``solve_vec`` and
+        Reads only ``ctx``, ``n``, ``solve_vec`` and
         ``solve_transpose_vec``, so any solver that has them may call it
         as its own estimate."""
         ctx, n = self.ctx, self.n
@@ -825,7 +821,7 @@ class LUFactorization:
                 break
             x = [ctx.zero] * n
             x[j] = ctx.one
-        return inv_norm * self.norm1_a  # rounds at the factor's digits
+        return inv_norm * norm_1(a)  # rounds at the factor's digits
 
 
 def lu_factor(ctx, a):

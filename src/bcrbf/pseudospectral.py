@@ -57,7 +57,6 @@ from .numerics import (
     kron,
     lu_factor,
     mode_sum,
-    norm_1,
     refine,
 )
 
@@ -349,7 +348,6 @@ class _OperationalFactors:
     def __init__(self, ctx, a, a_l):
         self.ctx = ctx
         self.n = len(a_l)
-        self.norm1_a = norm_1(a_l)
         self.fact_a = _factor_kernel_matrix(ctx, a, "evaluation matrix")
         self.fact_lmat = lu_factor(ctx, operational_matrix(self.fact_a, a_l))
 
@@ -359,8 +357,8 @@ class _OperationalFactors:
     def solve_transpose_vec(self, r):
         return self.fact_lmat.solve_transpose_vec(self.fact_a.solve_transpose_vec(r))
 
-    def cond1_estimate(self):
-        return LUFactorization.cond1_estimate(self)
+    def cond1_estimate(self, a):
+        return LUFactorization.cond1_estimate(self, a)
 
 
 def _cond_a(ctx, tables):
@@ -378,7 +376,7 @@ def _cond_a(ctx, tables):
     cond = 1
     for axis in tables:
         try:
-            cond *= lu_factor(ctx, axis[0]).cond1_estimate()
+            cond *= lu_factor(ctx, axis[0]).cond1_estimate(axis[0])
         except SingularMatrix:
             return None
     return cond
@@ -548,6 +546,6 @@ def solve(problem, counts, shape, ctx, mode="direct", scheme="uniform-interior")
         "refine_steps": run.steps,
         "effective_digits": run.effective_digits,
         "cond_A": cond_a,
-        "cond_AL": run.solver.cond1_estimate(),
+        "cond_AL": run.solver.cond1_estimate(a_l),
     }
     return Solution(ctx, grid, kernels, lam, hom, nodal, diagnostics)

@@ -57,7 +57,6 @@ class RunReport:
     seconds: float = 0.0
     status: str = "ok"
     message: str = ""
-    eps: float = None
 
     def row(self):
         return (
@@ -181,7 +180,6 @@ def run_example(
         grid=grid_label(counts),
         shape=float(shape),
         precision_digits=ctx.digits,
-        eps=float(eps) if eps is not None else None,
     )
     start = time.perf_counter()
     try:

@@ -183,6 +183,33 @@ def test_text_form_round_trips():
         ]
 
 
+@pytest.mark.parametrize("text", [
+    "dirichlet @abc",
+    "dirichlet @0 = x",
+    "robin 1 abc @0",
+    "multipoint @0 : 0.5 @0.6, w @1.2",
+    "dirichlet @nan",
+    "neumann @inf",
+    "robin nan 1 @0",
+    "robin 1 -inf @0",
+    "dirichlet @0 = nan",
+    "multipoint @0 : 0.5 @0.6, inf @1.2",
+])
+@pytest.mark.parametrize("prec", ["float64", "mp:50"])
+def test_text_form_rejects_malformed_or_nonfinite_numbers(text, prec):
+    with pytest.raises(InvalidFunctional):
+        parse_functional(text, Precision.parse(prec))
+
+
+def test_text_form_keeps_finite_mp_numbers_beyond_the_float_range():
+    """1e400 is finite at mp digits; in float64 it parses to inf."""
+    ctx = Precision("mp", 50)
+    L = parse_functional("dirichlet @0 = 1e400", ctx)
+    assert L.rhs == ctx.num(10) ** 400
+    with pytest.raises(InvalidFunctional):
+        parse_functional("dirichlet @0 = 1e400", FLOAT64)
+
+
 def test_text_form_spec_example():
     L = parse_functional("robin 1 -0.03125 @0 = 1")
     assert L.kind == "robin"

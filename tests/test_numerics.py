@@ -19,6 +19,7 @@ from bcrbf.numerics import (
     dot,
     lu_factor,
     mat_vec,
+    norm_1,
     norm_inf,
     refine,
     transpose,
@@ -136,7 +137,7 @@ def test_lu_matrix_rhs_and_transpose_solve():
 
 def test_cond_estimate_diagonal():
     a = [[4.0, 0.0], [0.0, 0.5]]
-    est = lu_factor(FLOAT64, a).cond1_estimate()
+    est = lu_factor(FLOAT64, a).cond1_estimate(a)
     assert abs(est - 8.0) < 1e-9
 
 
@@ -156,7 +157,7 @@ def test_refine_reaches_working_precision_beyond_cond_one_over_u():
     mp30, mp200 = Precision("mp", 30), Precision("mp", 200)
     h = hilbert(mp30, 22)
     b = [mp30.one] * 22
-    assert lu_factor(mp200, h).cond1_estimate() > mpmath.mpf(10) ** 30
+    assert lu_factor(mp200, h).cond1_estimate(h) > mpmath.mpf(10) ** 30
     run = refine(mp30, h, b, lambda fctx: lu_factor(fctx, h))
     ref = lu_solve_vec(mp200, h, b)
     x = [mp30.num(v) for v in run.x]
@@ -327,6 +328,100 @@ def test_dot_float64_is_the_plain_sum():
     assert dot(FLOAT64, us, vs) == 0.1 * 3.0 + 0.2 * -1.0 + 0.3 * 7.0
 
 
+def _odd(draw, bits):
+    """A signed odd mantissa of up to ``bits`` bits, so that a number made
+    from it keeps the exponent it is given."""
+    return draw(st.sampled_from((1, -1))) * (2 * draw(st.integers(0, 2 ** bits - 1)) + 1)
+
+
+@st.composite
+def _term_operands(draw):
+    """(digits, us, vs) as raw tuples for the term loop of ``dot``.
+
+    Mantissas have fewer, as many and more bits than the context carries,
+    some operands are zero, and the nonzero products' exponents span a
+    window of 2 * prec - 1 to 2 * prec + 2 bits (``mpf_sum`` first drops a
+    1-bit term at 2 * prec + 2), a narrower one or a far wider one, from a
+    lowest exponent below, at or above 0: the products lie on both sides
+    of 0, or all on one side, as far as 3 prec bits away.  Optionally the
+    highest product is cancelled by a last term, or the lowest product
+    comes first with its negative, so that the others follow an exact
+    cancellation, as far above it as the window reaches."""
+    digits = draw(st.sampled_from((5, 15, 30, 150)))
+    prec = Precision("mp", digits).mp.prec
+    window = draw(st.sampled_from(
+        (4, 2 * prec - 1, 2 * prec, 2 * prec + 1, 2 * prec + 2, 6 * prec)))
+    lo = draw(st.sampled_from((-3 * prec - window, -(window // 2), 0, 3 * prec)))
+    bits = (1, 20, prec, prec + 60)
+
+    def term(exp):
+        ue = draw(st.integers(-prec, prec))
+        u = from_man_exp(_odd(draw, draw(st.sampled_from(bits))), ue)
+        v = from_man_exp(_odd(draw, draw(st.sampled_from(bits))), exp - ue)
+        if draw(st.integers(0, 9)) == 0:  # a zero operand
+            u, v = draw(st.sampled_from(((_ZERO, v), (u, _ZERO), (_ZERO, _ZERO))))
+        return u, v
+
+    low = (from_man_exp(_odd(draw, 20), lo), _ONE)
+    high = (from_man_exp(_odd(draw, 20), lo + window), _ONE)
+    others = [term(draw(st.integers(lo, lo + window)))
+              for _ in range(draw(st.integers(0, 8)))]
+    terms = draw(st.permutations([low, high, *others]))
+    cancel = draw(st.sampled_from(("none", "highest last", "lowest first")))
+    if cancel == "highest last":
+        terms.append((high[0], mpf_neg(high[1])))
+    elif cancel == "lowest first":
+        terms[:0] = [low, (low[0], mpf_neg(low[1]))]
+    us, vs = zip(*terms)
+    return digits, list(us), list(vs)
+
+
+_ZERO = from_man_exp(0, 0)
+_ONE = from_man_exp(1, 0)
+_P30 = Precision("mp", 30).mp.prec
+
+
+def _pow2(e, man=1):
+    """man * 2**e as a raw tuple."""
+    return from_man_exp(man, e)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_term_operands())
+# mixed mantissa lengths and zero operands
+@example((30, [_pow2(0, 3), _ZERO, _pow2(-7, 2 ** 160 + 1), _pow2(5)],
+          [_pow2(-2, 2 ** 20 - 1), _pow2(9), _pow2(3), _ZERO]))
+# windows of 2 prec - 1 to 2 prec + 2 bits, with the highest product
+# cancelled: the sum is the low term, until mpf_sum drops it at 2 prec + 2
+@example((30, [_pow2(2 * _P30 - 1), _ONE, _pow2(2 * _P30 - 1, -1)], [_ONE] * 3))
+@example((30, [_pow2(2 * _P30), _ONE, _pow2(2 * _P30, -1)], [_ONE] * 3))
+@example((30, [_pow2(2 * _P30 + 1), _ONE, _pow2(2 * _P30 + 1, -1)], [_ONE] * 3))
+@example((30, [_pow2(2 * _P30 + 2), _ONE, _pow2(2 * _P30 + 2, -1)], [_ONE] * 3))
+# far wider: mpf_sum drops the low term, or replaces it by the high one
+@example((30, [_ONE, _pow2(-3 * _P30), _pow2(0, -1)], [_ONE] * 3))
+@example((30, [_pow2(-3 * _P30), _ONE, _pow2(0, -1)], [_ONE] * 3))
+# products on both sides of exponent 0, across a window of 2 prec; and
+# all far above or far below it, where mpf_sum's running sum, which
+# starts at exponent 0, is replaced by the first term
+@example((30, [_pow2(-_P30, 5), _pow2(_P30, 7)], [_ONE, _pow2(0, -3)]))
+@example((30, [_pow2(3 * _P30, 5), _pow2(3 * _P30 + 9, 7)], [_ONE] * 2))
+@example((30, [_pow2(-3 * _P30, 5), _pow2(-3 * _P30 - 9, 7)], [_ONE] * 2))
+# an exact cancellation followed by a term far above it
+@example((30, [_ONE, _ONE, _pow2(3 * _P30, 3)], [_ONE, _pow2(0, -1), _ONE]))
+def test_dot_term_loop_is_bit_identical_to_fdot(operands):
+    """A dot of two sequences of numbers is the context's fdot, bit for
+    bit: the exact sum rounded once within a window of 2 * prec bits, and
+    fdot itself beyond it; in either order of the terms."""
+    digits, us, vs = operands
+    ctx = Precision("mp", digits)
+    make = ctx.mp.make_mpf
+    us, vs = [make(u) for u in us], [make(v) for v in vs]
+    assert _bits(dot(ctx, us, vs)) == _bits(ctx.mp.fdot(us, vs))
+    us.reverse()
+    vs.reverse()
+    assert _bits(dot(ctx, us, vs)) == _bits(ctx.mp.fdot(us, vs))
+
+
 # -- aligned operands, and the LU on them --------------------------------------
 
 
@@ -366,7 +461,6 @@ def _dot_operands(draw):
     return digits, us, vs
 
 
-_ONE = from_man_exp(1, 0)
 _TINY = from_man_exp(1, -3 * Precision("mp", 30).mp.prec)
 
 
@@ -424,12 +518,13 @@ def _factor_entries(fact):
 
 
 def _assert_lu_is_the_oracle(ctx, a):
-    """Factors, swaps, norm1_a and both solves of LUFactorization equal the
-    oracle Crout's on number objects, bit for bit."""
+    """Factors, swaps and both solves of LUFactorization, and the 1-norm of
+    ``a`` that its condition estimate forms, equal the oracle Crout's on
+    number objects, bit for bit."""
     ref, fact = CroutLU(ctx, a), lu_factor(ctx, a)
     bits = repr if ctx.mode == "float64" else _bits
     assert fact.swaps == ref.swaps
-    assert bits(fact.norm1_a) == bits(ref.norm1_a)
+    assert bits(norm_1(a)) == bits(ref.norm1_a)
     factors = _factor_entries(fact)
     if ctx.mode == "float64":
         factors = [list(map(repr, row)) for row in factors]

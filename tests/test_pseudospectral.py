@@ -596,7 +596,7 @@ def test_ps_cond_al_matches_the_lu_estimate():
     ctx = MP40
     a, a_l = _trivial_system(ctx, 6)
     sol = solve(_trivial_problem(ctx), (6,), 1.0, ctx, mode="ps")
-    ref = lu_factor(ctx, a_l).cond1_estimate()
+    ref = lu_factor(ctx, a_l).cond1_estimate(a_l)
     assert ref / 10 <= sol.diagnostics["cond_AL"] <= ref * 10
 
 

@@ -335,6 +335,28 @@ def test_cli_env_precision(monkeypatch, capsys):
     assert ",60," in out
 
 
+@pytest.mark.parametrize("value", ["garbage", "mp:3"])
+def test_cli_rejects_a_bad_env_precision(monkeypatch, capsys, value):
+    """A bad BCRBF_PRECISION is a bad argument: exit 2, no traceback."""
+    monkeypatch.setenv("BCRBF_PRECISION", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--example", "ex1", "--n", "8", "--shape", "1"])
+    assert exc.value.code == 2
+    assert "--precision" in capsys.readouterr().err
+
+
+def test_cli_solve_both_methods_is_one_row_each(capsys):
+    code = main([
+        "solve", "--example", "ex1", "--n", "8", "--eps", "0.5", "--shape", "1",
+        "--method", "both", "--precision", "float64",
+    ])
+    assert code == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert [row[:4] for row in rows] == [
+        ["ex1", "constrained", "8", "1"], ["ex1", "kansa", "8", "1"],
+    ]
+
+
 def test_cli_entry_point_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "bcrbf.cli", "list"],
