@@ -150,18 +150,23 @@ def main(argv=None):
             parser.error("need --shape-min <= --shape-max")
         if args.steps < 1:
             parser.error("need --steps >= 1")
+        if args.jobs < 1:
+            parser.error("need --jobs >= 1")
         shapes, jobs = (args.shape_min, args.shape_max, args.steps), args.jobs
-    reports = run_sweep(
-        args.example, args.method, args.n, *shapes, args.precision,
-        eps=args.eps, mode=args.mode, scheme=args.scheme, jobs=jobs,
-    )
-
-    text = emit(reports, args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # a path that cannot be written is a bad argument, found before the sweep
+    try:
+        out = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        parser.error(f"cannot write --out {args.out!r}: {exc.strerror}")
+    try:
+        reports = run_sweep(
+            args.example, args.method, args.n, *shapes, args.precision,
+            eps=args.eps, mode=args.mode, scheme=args.scheme, jobs=jobs,
+        )
+        out.write(emit(reports, args.format))
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
     failed = [r for r in reports if r.status != "ok"]
     for r in failed:

@@ -506,17 +506,6 @@ def kron(vectors):
     return out
 
 
-def _axis_rows(mat, shape, n):
-    """The rows ``mode_products`` applies along an axis of n nodes of an
-    array of ``shape``, and the fiber extension that goes with them
-    (None for a plain matrix)."""
-    if not isinstance(mat, CorrectedMatrix):
-        return mat, None
-    if math.prod(shape) >= n * n:
-        return mat.dense(), None
-    return mat.rows, mat.extend
-
-
 def _fibers(vals, shape, e):
     """The fibers of the flat array ``vals`` of ``shape`` along axis e:
     for each index of the axes before e, in flat order, one list per index
@@ -530,86 +519,14 @@ def _fibers(vals, shape, e):
     return out
 
 
-def mode_products(ctx, vals, shape, mats):
-    """The n_0 x ... x n_{d-1} array ``vals`` (flat, last axis fastest)
-    multiplied along each axis e by ``mats[e]``, an m_e x n_e matrix given
-    as a list of rows or as a CorrectedMatrix, or left as it is where
-    ``mats[e]`` is None (mode products; Van Loan, J. Comput. Appl. Math.
-    123, 2000).  Returns the m_0 x ... x m_{d-1} array in flat order.
-
-    A CorrectedMatrix is applied by its factors when its axis has fewer
-    nodes in the other axes together than in its own, as in 1D: each fiber
-    of the array along axis e is extended by its correction coefficients
-    once, and each output entry is then one dot of a row of [B | P] with
-    the extended fiber, rounded once at the digits of ``ctx``.  Otherwise a
-    grid of about as many points as nodes has more fibers along the axis
-    than nodes, and forming its m_e x n_e entries once (``dense``) costs
-    less than widening every dot by r.  The choice depends on ``shape``
-    alone, never on the number of points.
-
-    Each output entry is formed by one ``dot`` per contracted axis from its
-    own rows of the matrices and the fibers only, so contracting with fewer
-    rows, down to 1-row matrices for a single point, gives the same bits.
-    """
-    outer = 1
-    size = list(shape)
-    for e, (n, mat) in enumerate(zip(shape, mats)):
-        if mat is None:
-            outer *= n
-            continue
-        rows, extend = _axis_rows(mat, shape, n)
-        cols = _fibers(vals, size, e)
-        if extend is not None:
-            cols = [extend(col) for col in cols]
-        inner = len(cols) // outer
-        vals = []
-        for o in range(outer):
-            block = cols[o * inner:(o + 1) * inner]
-            for row in rows:
-                vals.extend(dot(ctx, row, col) for col in block)
-        size[e] = len(rows)
-        outer *= len(rows)
-    return vals
-
-
-def mode_sum(ctx, parts, shape):
-    """The sum over ``parts`` of ``mode_products(ctx, vals, n, mats)``, an
-    array of ``shape`` in flat order, with each output entry one ``dot``.
-
-    A part (vals, n, mats) has at least one matrix.  It is contracted by
-    ``mode_products`` along every axis with a matrix but its last one, a;
-    axes after a have none and keep their sizes.  The contractions along
-    a are then folded, for all parts together, into a single dot per
-    output entry: the entry at index i sums, over the parts, row i_a of
-    the part's matrix along a times the part's fiber along a through i's
-    other indices, exactly, and is rounded once.  This replaces rounding
-    each part's values and adding them.  A CorrectedMatrix along a follows
-    ``mode_products``' rule, by the part's own n alone, and is applied by
-    its factors with each fiber extended once.
-
-    Every entry reads its own point's rows of the matrices only, and the
-    terms of its dot come in the same order for any grid, so a grid of
-    1-point axes gives the same bits as a larger one.
-    """
-    folds = {}  # fold axis -> (rows along it, fibers through the other indices)
-    for vals, n, mats in parts:
-        a = max(e for e, mat in enumerate(mats) if mat is not None)
-        vals = mode_products(ctx, vals, n, [*mats[:a], *[None] * (len(n) - a)])
-        rows, extend = _axis_rows(mats[a], n, n[a])
-        size = [*shape[:a], *n[a:]]
-        fibers = _fibers(vals, size, a)
-        if extend is not None:
-            fibers = [extend(f) for f in fibers]
-        if a in folds:
-            old_rows, old_fibers = folds[a]
-            rows = [[*u, *v] for u, v in zip(old_rows, rows)]
-            fibers = [[*u, *v] for u, v in zip(old_fibers, fibers)]
-        folds[a] = (rows, fibers)
-    total = math.prod(shape)
-    if not folds:
-        return [ctx.zero] * total
-    plan = [(rows, fibers, math.prod(shape[a + 1:]), shape[a])
-            for a, (rows, fibers) in folds.items()]
+def _contract(ctx, plan, total):
+    """The ``total`` entries, in flat order, of a sum of contractions along
+    one axis each.  ``plan`` holds one (rows, fibers, inner, m) per term:
+    the term's m output rows and its fibers along the axis, in the order
+    of ``_fibers``, with ``inner`` entries in the axes after it.  Output j
+    takes, from each term, row q % m and fiber q // m * inner + r, for
+    q, r = divmod(j, inner), and is one ``dot`` of the rows and the fibers
+    concatenated over the plan, rounded once."""
     out = []
     for j in range(total):
         us, vs = [], []
@@ -619,6 +536,62 @@ def mode_sum(ctx, parts, shape):
             vs += fibers[q // m * inner + r]
         out.append(dot(ctx, us, vs))
     return out
+
+
+def mode_sum(ctx, parts, shape):
+    """The sum over ``parts`` of their mode products (Van Loan, J. Comput.
+    Appl. Math. 123, 2000), an array of ``shape`` in flat order (last axis
+    fastest), with each output entry one ``dot``.
+
+    A part (vals, n, mats) is the n_0 x ... x n_{d-1} array ``vals`` in
+    flat order and, per axis e, an m_e x n_e matrix (m_e = shape[e]) given
+    as a list of rows or as a CorrectedMatrix, or None where the axis is
+    left as it is (there n_e = shape[e]).  It has at least one matrix.
+    The part is contracted along its matrix axes in order, each but the
+    last one, a, by ``_contract`` with one dot per output entry.  The
+    contractions along a are then folded, for all parts together, into a
+    single dot per output entry: the entry at index i sums, over the
+    parts, row i_a of the part's matrix along a times the part's fiber
+    along a through i's other indices, exactly, and is rounded once.  This
+    replaces rounding each part's values and adding them.  The terms come
+    grouped by fold axis, in the order the axes first appear, and in part
+    order within a group.
+
+    A CorrectedMatrix along axis e is applied by its factors when the
+    part's other axes have fewer nodes together than axis e, as in 1D:
+    each fiber along e is extended by its correction coefficients once,
+    and each output entry then dots a row of [B | P] with the extended
+    fiber.  Otherwise a grid of about as many points as nodes has more
+    fibers along the axis than nodes, and forming its m_e x n_e entries
+    once (``dense``) costs less than widening every dot by r.  The choice
+    depends on the part's own n alone, never on the number of points.
+
+    Every entry reads its own point's rows of the matrices only, and the
+    terms of its dots come in the same order for any grid, so a grid of
+    1-point axes gives the same bits as a larger one.
+    """
+    folds = {}  # fold axis -> the plan terms of the parts folded along it
+    for vals, n, mats in parts:
+        axes = [e for e, mat in enumerate(mats) if mat is not None]
+        size = list(n)
+        for e in axes:
+            rows, fibers = mats[e], _fibers(vals, size, e)
+            if isinstance(rows, CorrectedMatrix):
+                if math.prod(n) >= n[e] * n[e]:
+                    rows = rows.dense()
+                else:
+                    fibers = [rows.extend(f) for f in fibers]
+                    rows = rows.rows
+            size[e] = len(rows)
+            term = (rows, fibers, math.prod(size[e + 1:]), size[e])
+            if e == axes[-1]:
+                folds.setdefault(e, []).append(term)
+            else:
+                vals = _contract(ctx, [term], math.prod(size))
+    total = math.prod(shape)
+    if not folds:
+        return [ctx.zero] * total
+    return _contract(ctx, [t for terms in folds.values() for t in terms], total)
 
 
 # -- LU factorization with partial pivoting ---------------------------------

@@ -430,12 +430,9 @@ class Solution(ScalarField):
         A constrained kernel's matrix is the Gaussian's, G, minus the
         low-rank part P Gamma^-1 Q^T of its r <= 2 corrections, P and Q
         their traces at the points and at the nodes (``partial_matrix``).
-        Along an axis with more nodes than the other axes hold together,
-        always in 1D, it is applied by its factors,
-        K lam = G lam - P (Gamma^-1 Q^T lam): the r
-        coefficients are carried at D + 10 digits and enter the dots as
-        they are.  Along the other axes its m_d x n_d entries are formed
-        once instead (see ``numerics.mode_products``).  On uniform grids
+        ``numerics.mode_sum`` applies it by its factors,
+        K lam = G lam - P (Gamma^-1 Q^T lam), or forms its entries once,
+        by the rule stated there.  On uniform grids
         the rows of G come from a two-term recurrence along the nodes
         (see ``kernels.GaussianKernel``).  Each entry depends on its own
         point only, so grid and pointwise values agree bit for bit.

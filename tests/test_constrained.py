@@ -3,6 +3,8 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bcrbf.constrained import impose, impose_sequence
 from bcrbf.errors import DegenerateConstraint
@@ -265,3 +267,59 @@ def test_imposed_metadata():
     ck = impose_sequence(GaussianKernel(1.0), [l1, l2])
     assert ck.imposed == (l1, l2)
     assert len(ck.traces) == 2
+
+
+COEFFS = st.floats(-2, 2)
+
+
+@st.composite
+def _admissible_pair(draw, ctx):
+    """A low-side functional at 0 of any kind (multipoint with 1-3 supports
+    in (0, 1)) and a high-side Dirichlet, Neumann or Robin functional at 1,
+    with coefficients in [-2, 2]."""
+
+    def simple(kind, a):
+        if kind != "robin":
+            return {"dirichlet": make_dirichlet, "neumann": make_neumann}[kind](a, 0, ctx)
+        alpha, beta = draw(COEFFS), draw(COEFFS)
+        assume(alpha or beta)
+        return make_robin(alpha, beta, a, 0, ctx)
+
+    kinds = ["dirichlet", "neumann", "robin"]
+    low = draw(st.sampled_from([*kinds, "multipoint"]))
+    if low == "multipoint":
+        xis = draw(st.lists(st.floats(0, 1, exclude_min=True, exclude_max=True),
+                            min_size=1, max_size=3, unique=True))
+        first = make_multipoint(0, [(draw(COEFFS), xi) for xi in sorted(xis)], 0, ctx)
+    else:
+        first = simple(low, 0)
+    return [first, simple(draw(st.sampled_from(kinds)), 1)]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_imposed_kernels_annihilate_random_admissible_functionals(data):
+    """Both imposed functionals annihilate the kernel in x at any y, to
+    10^(10-D) of the terms that cancel: per functional term c_k d^{o_k},
+    the base entry and each correction phi_j(loc_k) phi_j(y) / gamma_j."""
+    ctx = MP50
+    shape = data.draw(st.floats(0.05, 3, exclude_min=True), label="c")
+    funcs = data.draw(_admissible_pair(ctx), label="functionals")
+    try:
+        ck = impose_sequence(GaussianKernel(shape, ctx), funcs)
+    except DegenerateConstraint:
+        assume(False)
+    ys = data.draw(st.lists(st.floats(0, 1), min_size=3, max_size=3), label="y")
+    for y in map(ctx.num, ys):
+        scaled = [t.deriv(y, 0) / g for t, g in zip(ck.traces, ck.gammas)]
+        for L in funcs:
+            size = sum(
+                abs(t.coeff) * (
+                    abs(ck.base.mixed_partial(t.order, 0, t.location, y))
+                    + sum(abs(tr.deriv(t.location, t.order) * s)
+                          for tr, s in zip(ck.traces, scaled))
+                )
+                for t in L.terms
+            )
+            residual = apply_to_function(L, slice_in_x(ck, y))
+            assert abs(residual) <= ctx.tol(10) * max(ctx.one, size)

@@ -103,6 +103,8 @@ CASES = [
     ("ex1", (72,), 150, "kansa", ((0,),)),
     ("ex4", (8, 8), 150, "direct", ((0, 0), (1, 0), (0, 2))),
     ("ex7", (4, 4, 4), 100, "direct", ((0, 0, 0), (0, 0, 2))),
+    ("ex3", (8, 4), 100, "direct", ((0, 0), (1, 0), (0, 2))),
+    ("ex6", (5, 10), 100, "direct", ((0, 0), (1, 0), (0, 2))),
 ]
 
 

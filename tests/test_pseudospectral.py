@@ -506,6 +506,11 @@ def test_span_reproduction():
         ("ex4", (4, 4), "constrained"),
         ("ex7", (3, 3, 3), "constrained"),
         ("ex4", (4, 4), "kansa"),
+        # a factored intermediate axis; a factored fold axis in 2D; a
+        # factored intermediate axis in 3D
+        ("ex3", (8, 4), "constrained"),
+        ("ex6", (5, 10), "constrained"),
+        ("ex7", (5, 2, 2), "constrained"),
     ],
 )
 def test_evaluate_axes_equals_pointwise_evaluate(ident, counts, method):

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from bcrbf.benchmarks import get_example
+import bcrbf.cli as cli
 from bcrbf.cli import main
 from bcrbf.errors import BcrbfError
 from bcrbf.numerics import FLOAT64, Precision
@@ -229,7 +230,7 @@ def test_cli_sweep_markdown(capsys):
     assert out.startswith("| example |")
 
 
-def test_cli_bad_arguments_exit_2():
+def test_cli_bad_arguments_exit_2(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--example", "ex99", "--n", "8", "--shape", "1.0"])
     assert exc.value.code == 2
@@ -240,6 +241,24 @@ def test_cli_bad_arguments_exit_2():
         main(["solve", "--example", "ex4", "--n", "5x5", "--shape", "1.0",
               "--eps", "0.5"])
     assert exc.value.code == 2
+    # an --out that cannot be opened for writing (a directory, a missing
+    # parent) exits 2 naming the path, before any run; so does a job count
+    # below one
+    runs = []
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: runs.append(a) or [])
+    for out in (tmp_path, tmp_path / "no" / "such" / "x.csv"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--example", "ex1", "--n", "8", "--shape", "1.0",
+                  "--precision", "float64", "--out", str(out)])
+        assert exc.value.code == 2
+        assert str(out) in capsys.readouterr().err
+    for jobs in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--example", "ex1", "--n", "8", "--shape-min", "0.1",
+                  "--shape-max", "1", "--jobs", jobs, "--precision", "float64"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+    assert runs == []
 
 
 def test_cli_rejects_nonpositive_shape_and_steps(capsys):
