@@ -22,10 +22,8 @@ from __future__ import annotations
 from functools import partial
 from operator import sub
 
-from mpmath.libmp import mpf_mul, mpf_pos, mpf_sub
-
 from .errors import UnsupportedOrder
-from .numerics import FLOAT64
+from .numerics import FLOAT64, _round, _round_add
 
 MAX_TOTAL_ORDER = 4
 
@@ -125,8 +123,7 @@ class GaussianKernel:
             # an offset's raw tuple is canonical: it keys the offset as its
             # value does, and hashes as a tuple
             mp = self.ctx.mp
-            prec, rnd = mp._prec_rounding
-            offset, number = partial(mpf_sub, prec=prec, rnd=rnd), mp.make_mpf
+            offset, number = partial(_round_add, prec=mp.prec, minus=1), mp.make_mpf
             xs, nodes = [x._mpf_ for x in xs], [y._mpf_ for y in nodes]
         else:
             offset, number = sub, float
@@ -155,7 +152,9 @@ class GaussianKernel:
         runs with digits to spare for n^2 of them and each entry is then
         rounded to the kernel's digits: within a unit in the last place
         of exp.  q is computed once per node spacing.  The recurrence
-        steps on raw ``_mpf_`` tuples at the work digits.
+        steps on integer mantissas and exponents, each product rounded at
+        the work digits by ``numerics._round``, which also rounds each
+        entry.
         """
         ctx, n = self.ctx, len(nodes)
         digits = ctx.digits + 5 + 2 * len(str(n))
@@ -166,20 +165,19 @@ class GaussianKernel:
         q = self._ratios.get((digits, h))
         if q is None:
             q = self._ratios.setdefault((digits, h), work.exp(-2 * c2 * h * h))
-        wprec, wrnd = work._prec_rounding
-        prec, rnd = ctx.mp._prec_rounding
+        wprec, prec = work.prec, ctx.mp.prec
         make = ctx.mp.make_mpf
-        q = q._mpf_
+        _, qm, qe, _ = q._mpf_
         rows = []
         for x in xs:
             t = work.convert(x) - y0
-            g = work.exp(-c2 * t * t)._mpf_
-            r = work.exp(c2 * h * (2 * t - h))._mpf_
+            _, gm, ge, _ = work.exp(-c2 * t * t)._mpf_
+            _, rm, re, _ = work.exp(c2 * h * (2 * t - h))._mpf_
             row = []
             for _ in range(n):
-                row.append(make(mpf_pos(g, prec, rnd)))
-                g = mpf_mul(g, r, wprec, wrnd)
-                r = mpf_mul(r, q, wprec, wrnd)
+                row.append(make(_round(gm, ge, prec)))
+                _, gm, ge, _ = _round(gm * rm, ge + re, wprec)
+                _, rm, re, _ = _round(rm * qm, re + qe, wprec)
             rows.append(row)
         return rows
 

@@ -29,6 +29,14 @@ term, at about 60% of ``fdot``'s cost per term at 100-150 digits.
 are summed by one C-level multiply-sum: the LU keeps its factors in that
 form, and its sweep and solves read them there.
 
+Every rounding of a raw mantissa here -- those exact sums, the LU's and
+the solves' subtractions and divisions, the 1-norm, and the kernel
+tables' offsets and Gaussian rows -- goes through one routine,
+``_round``, and its raw add and divide.  It assumes round-to-nearest,
+the rounding of every context here: a correctly rounded result is
+unique, so it is mpmath's bit for bit, and it counts bits with
+``int.bit_length`` where the pure-Python backend calls ``bitcount``.
+
 mp digit counts differ inside a computation where a D-digit answer needs
 wider intermediates: ``refine`` factors at D plus guard digits and
 carries residuals and the refined solution at more digits still, then
@@ -53,16 +61,7 @@ from dataclasses import dataclass
 from operator import mul, neg, sub, truediv
 
 import mpmath
-from mpmath.libmp import (
-    from_man_exp,
-    fzero,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_neg,
-    mpf_sub,
-    mpf_sum,
-)
+from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_div, mpf_neg, mpf_sum, round_nearest
 
 from .errors import SingularMatrix
 
@@ -221,6 +220,74 @@ def mat_vec(a, x):
     return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
 
 
+# -- rounding on integers -----------------------------------------------------
+
+
+def _round(man, exp, prec=0):
+    """The canonical raw ``_mpf_`` tuple of man * 2**exp for a signed
+    integer ``man`` (``fzero`` for 0, else an odd mantissa and its exact
+    bit count), rounded half-even at ``prec`` bits, or exactly when
+    ``prec`` is 0: ``from_man_exp`` at round-to-nearest, bit for bit.  It
+    assumes round-to-nearest, as every context here rounds (see above),
+    and strips trailing zeros in one shift, not a byte at a time."""
+    if not man:
+        return fzero
+    sign = 0
+    if man < 0:
+        sign, man = 1, -man
+    n = man.bit_length() - prec
+    if prec and n > 0:
+        # t ends in the half bit; the bits below it are nonzero when
+        # man's lowest set bit is among them
+        t = man >> (n - 1)
+        if t & 1 and (t & 2 or (man & -man).bit_length() < n):
+            man = (t >> 1) + 1
+        else:
+            man = t >> 1
+        exp += n
+    if not man & 1:
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        exp += zeros
+    return sign, man, exp, man.bit_length()
+
+
+def _round_add(x, y, prec, minus=0):
+    """x + y (x - y when ``minus``) of raw tuples, rounded by ``_round``:
+    ``mpf_add`` at round-to-nearest, bit for bit.  A zero or special
+    operand, or tops more than prec + 4 bits apart (where ``mpf_add`` may
+    perturb the larger by a sticky bit instead), go to ``mpf_add``, so no
+    integer grows with the exponent gap."""
+    xs, xm, xe, xb = x
+    ys, ym, ye, yb = y
+    if not (xm and ym) or abs(xe + xb - ye - yb) > prec + 4:
+        return mpf_add(x, y, prec, round_nearest, minus)
+    if xs:
+        xm = -xm
+    if ys ^ minus:
+        ym = -ym
+    if xe > ye:
+        return _round((xm << (xe - ye)) + ym, ye, prec)
+    return _round(xm + (ym << (ye - xe)), xe, prec)
+
+
+def _round_div(x, y, prec):
+    """x / y of raw tuples, rounded by ``_round``: ``mpf_div`` at
+    round-to-nearest, bit for bit, by its own method (a quotient of at
+    least prec + 5 bits, and a sticky bit for a remainder).  A zero or
+    special operand goes to ``mpf_div``."""
+    xs, xm, xe, xb = x
+    ys, ym, ye, yb = y
+    if not (xm and ym):
+        return mpf_div(x, y, prec, round_nearest)
+    extra = max(5, prec - xb + yb + 5)
+    quot, rem = divmod(xm << extra, ym)
+    if rem:
+        quot = (quot << 1) + 1
+        extra += 1
+    return _round(-quot if xs ^ ys else quot, xe - ye - extra, prec)
+
+
 def _abs_gt(x, y):
     """|x| > |y| for finite raw ``_mpf_`` tuples, compared exactly."""
     _, xm, xe, xb = x
@@ -264,10 +331,12 @@ def norm_1(a):
         return max(sum(abs(row[j]) for row in a) for j in range(len(a[0])))
     best = None
     for col in zip(*a):
-        prec, rnd = col[0].context._prec_rounding
+        prec = col[0].context.prec
         total = fzero
         for v in col:
-            total = mpf_add(total, mpf_abs(v._mpf_, *v.context._prec_rounding), prec, rnd)
+            raw = v._mpf_
+            size = _round(raw[1], raw[2], v.context.prec) if raw[1] else mpf_abs(raw)
+            total = _round_add(total, size, prec)
         if best is None or _abs_gt(total, best):
             best, context = total, col[0].context
     return context.make_mpf(best)
@@ -339,10 +408,10 @@ class Aligned:
 
     def __getitem__(self, i):
         """Entry i as a raw ``_mpf_`` tuple."""
-        return from_man_exp(self.ints[i], self.lo or 0)
+        return _round(self.ints[i], self.lo or 0)
 
 
-def _dot_aligned(us, vs, prec, rnd):
+def _dot_aligned(us, vs, prec):
     """The raw sum of us[i] * vs[i] over two ``Aligned`` vectors, rounded
     once at ``prec`` bits, bit-identical to ``fdot`` (see ``dot``)."""
     if us.lo is None or vs.lo is None:
@@ -350,8 +419,8 @@ def _dot_aligned(us, vs, prec, rnd):
     exp = us.lo + vs.lo
     products = map(mul, us.ints, vs.ints)
     if us.hi + vs.hi - exp <= 2 * prec:
-        return from_man_exp(sum(products), exp, prec, rnd)
-    return mpf_sum([from_man_exp(p, exp) for p in products], prec, rnd)
+        return _round(sum(products), exp, prec)
+    return mpf_sum([_round(p, exp) for p in products], prec, round_nearest)
 
 
 def dot(ctx, us, vs):
@@ -372,10 +441,11 @@ def dot(ctx, us, vs):
 
     Two ``Aligned`` vectors know their window before they are summed, and
     sum within it by one C-level ``sum(map(mul, ...))`` of their integers
-    (beyond it, by ``mpf_sum`` of the exact products).  Sequences of
-    numbers are read as raw ``_mpf_`` tuples: each nonzero product is
-    added exactly into one integer at the lowest exponent so far, until
-    the window outgrows 2 * prec.  The loop uses only integer operations
+    (beyond it, by ``mpf_sum`` of the exact products, each taken by
+    ``_round``).  Sequences of numbers are read as raw ``_mpf_`` tuples:
+    each nonzero product is added exactly into one integer at the lowest
+    exponent so far, until the window outgrows 2 * prec.  Either exact sum
+    is rounded by ``_round``.  The loop uses only integer operations
     that Python ``int`` and gmpy2 ``mpz`` mantissas share.  An operand
     without ``_mpf_`` (a Python number or an mpc) or an infinite or nan
     one sends the whole sum through ``fdot``; iterators are read into
@@ -384,9 +454,9 @@ def dot(ctx, us, vs):
     if ctx.mode != "mp":
         return sum(map(mul, us, vs))
     mp = ctx.mp
-    prec, rnd = mp._prec_rounding
+    prec = mp.prec
     if type(us) is Aligned:
-        return mp.make_mpf(_dot_aligned(us, vs, prec, rnd))
+        return mp.make_mpf(_dot_aligned(us, vs, prec))
     if not isinstance(us, (list, tuple)):
         us = list(us)
     if not isinstance(vs, (list, tuple)):
@@ -420,7 +490,7 @@ def dot(ctx, us, vs):
                     hi = xexp
                 man += xman << (xexp - lo)
         else:
-            return mp.make_mpf(from_man_exp(man, lo or 0, prec, rnd))
+            return mp.make_mpf(_round(man, lo or 0, prec))
     except AttributeError:  # an operand that is not an mpf
         pass
     return mp.fdot(us, vs)
@@ -622,16 +692,16 @@ class _MpOps:
 
     def __init__(self, mp):
         self.mp = mp
-        self.prec, self.rnd = mp._prec_rounding
+        self.prec = mp.prec
 
     def dot(self, us, vs):
-        return _dot_aligned(us, vs, self.prec, self.rnd)
+        return _dot_aligned(us, vs, self.prec)
 
     def sub(self, x, y):
-        return mpf_sub(x, y, self.prec, self.rnd)
+        return _round_add(x, y, self.prec, 1)
 
     def div(self, x, y):
-        return mpf_div(x, y, self.prec, self.rnd)
+        return _round_div(x, y, self.prec)
 
     def scalars(self, vs):
         """Raw tuples of ``vs``, each taken exactly."""

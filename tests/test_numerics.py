@@ -6,16 +6,20 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, mpf_neg
+from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_neg, mpf_sub, round_nearest
 
 from bcrbf import pseudospectral
 from bcrbf.benchmarks import get_example
 from bcrbf.errors import SingularMatrix
+from bcrbf.kernels import GaussianKernel
 from bcrbf.numerics import (
     FLOAT64,
     Aligned,
     Precision,
     _affine_rows,
+    _round,
+    _round_add,
+    _round_div,
     dot,
     lu_factor,
     mat_vec,
@@ -567,3 +571,201 @@ def test_lu_on_collocation_systems_is_the_oracle_crout(
     fctx, a_l = factored[-1]
     assert len(a_l) == math.prod(counts)
     _assert_lu_is_the_oracle(fctx, a_l)
+
+
+def test_wide_span_solves_are_the_oracle():
+    """An exponent span of 10^7 bits, t = 2^-(10^7) in [[1, t, 1], [t, 1, 1],
+    [1, 1, 3]] at mp:30: the aligned integers of the solves are 10^7 bits
+    wide.  The factors and both solves are the oracle Crout's, bit for bit,
+    and the condition estimate returns."""
+    ctx = Precision("mp", 30)
+    one, t = ctx.one, ctx.mp.make_mpf((0, 1, -10 ** 7, 1))
+    a = [[one, t, one], [t, one, one], [one, one, 3 * one]]
+    _assert_lu_is_the_oracle(ctx, a)
+    assert lu_factor(ctx, a).cond1_estimate(a) > 1
+
+
+# -- rounding on integers ------------------------------------------------------
+
+
+def _precs(digits):
+    return Precision("mp", digits).mp.prec
+
+
+def _tie(q, shift=0, sign=1):
+    """sign * (2 q + 1) * 2**shift: rounding it at q's bit count is a tie,
+    which goes to q when q is even and to q + 1 when q is odd."""
+    return sign * ((2 * q + 1) << shift)
+
+
+_P5 = _precs(5)
+
+
+@st.composite
+def _mantissas(draw):
+    """(digits, man, exp): a signed mantissa of 1 bit to 3 prec bits, an
+    exact tie at prec bits with an even or odd kept part, or prec one-bits
+    followed by a tie or more, which carries to 2**prec; zero among them,
+    with trailing zeros or not."""
+    digits = draw(st.integers(5, 300))
+    prec = _precs(digits)
+    sign = draw(st.sampled_from((1, -1)))
+    kind = draw(st.sampled_from(("any", "tie", "carry")))
+    if kind == "any":
+        bits = draw(st.sampled_from((1, prec - 1, prec, prec + 1, prec + 2, 2 * prec, 3 * prec)))
+        man = sign * draw(st.integers(0, 2 ** bits - 1))
+    elif kind == "tie":
+        q = 2 ** (prec - 1) + draw(st.integers(0, 2 ** (prec - 1) - 1))
+        man = _tie(q, 0, sign)
+    else:
+        tail = draw(st.integers(2 ** draw(st.integers(0, 8)), 2 ** 9 - 1))
+        man = sign * ((2 ** prec - 1) << tail.bit_length() | tail)
+    return digits, man << draw(st.sampled_from((0, 1, 9, 300))), draw(st.integers(-2000, 2000))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_mantissas())
+@example((5, 0, 7))  # zero
+@example((5, _tie(2 ** (_P5 - 1)), 0))  # a tie to an even kept part
+@example((5, _tie(2 ** (_P5 - 1) + 1), 0))  # a tie to an odd one, rounded up
+@example((5, _tie(2 ** (_P5 - 1) + 2, 9, -1), -3))  # negative, trailing zeros
+@example((5, _tie(2 ** (_P5 - 1) + 3, 0, -1), 3))
+@example((5, _tie(2 ** _P5 - 1), -40))  # a tie that carries to 2**prec
+@example((5, -((2 ** _P5 - 1) << 2 | 3), 11))  # above a tie, carrying
+@example((5, 2 ** _P5 - 1, 0))  # prec bits: kept as it is
+@example((300, -(2 ** 3000 + 1), -5000))  # far wider than prec
+def test_round_is_from_man_exp(case):
+    """``_round`` is mpmath's ``from_man_exp`` at round-to-nearest, bit for
+    bit, at a precision and exactly."""
+    digits, man, exp = case
+    prec = _precs(digits)
+    assert _round(man, exp, prec) == from_man_exp(man, exp, prec, round_nearest)
+    assert _round(man, exp) == from_man_exp(man, exp)
+
+
+def _raw(man, exp):
+    return from_man_exp(man, exp)
+
+
+@st.composite
+def _add_operands(draw):
+    """(digits, x, y, minus): canonical raw tuples of 1 bit to 2 prec bits,
+    either sign, whose tops lie 0 bits apart, just under, at and just over
+    prec + 4, or far beyond; y is sometimes x itself, which cancels to zero
+    in x - y, or zero."""
+    digits = draw(st.integers(5, 300))
+    prec = _precs(digits)
+
+    def number(top):
+        bits = draw(st.sampled_from((1, 20, prec - 1, prec, prec + 1, 2 * prec)))
+        man = draw(st.sampled_from((1, -1))) * draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))
+        return _raw(man, top - bits)
+
+    top = draw(st.integers(-3000, 3000))
+    gap = draw(st.sampled_from((0, 1, prec - 1, prec, prec + 3, prec + 4, prec + 5, 100 * prec)))
+    x, y = number(top), number(top - draw(st.sampled_from((1, -1))) * gap)
+    kind = draw(st.sampled_from(("pair", "pair", "same", "zero")))
+    if kind == "same":
+        y = x
+    elif kind == "zero":
+        y = _ZERO
+    if draw(st.booleans()):
+        x, y = y, x
+    return digits, x, y, draw(st.sampled_from((0, 1)))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_add_operands())
+@example((30, _raw(3, 0), _raw(3, 0), 1))  # x - x cancels to zero
+@example((30, _raw(-3, 0), _raw(3, 0), 0))
+@example((30, _raw(1, _P30), _raw(1, 0), 0))  # a tie at prec bits, kept even
+@example((30, _raw(2 ** (_P30 - 1) + 1, 1), _raw(1, 0), 0))  # a tie, rounded up
+@example((30, _raw(-(2 ** _P30 - 1), 1), _raw(-1, 0), 0))  # a tie that carries
+@example((30, _raw(2 ** _P30 - 1, 1), _raw(-1, 0), 1))  # the same as x - (-y)
+@example((30, _raw(1, 0), _raw(-1, -_P30 - 3), 0))  # tops prec + 3 apart
+@example((30, _raw(1, 0), _raw(1, -_P30 - 4), 1))  # prec + 4: still exact
+@example((30, _raw(1, 0), _raw(1, -_P30 - 5), 1))  # prec + 5: mpf_add's own
+@example((30, _raw(1, -100 * _P30), _raw(-7, 0), 0))  # far beyond, y on top
+@example((30, _ZERO, _raw(-5, 3), 1))  # a zero operand
+# tops 50 bits apart, exponents 200: mpf_add's sticky bit leaves x above
+# the tie that x - y lies below, so it is not the correctly rounded sum
+@example((5, _raw(_tie(2 ** (_P5 - 1), 39) | 1, 1000), _raw(2 ** 209 + 1, 800), 1))
+def test_round_add_is_mpf_add(case):
+    """``_round_add`` is mpmath's ``mpf_add`` and ``mpf_sub`` at
+    round-to-nearest, bit for bit."""
+    digits, x, y, minus = case
+    prec = _precs(digits)
+    expect = (mpf_sub if minus else mpf_add)(x, y, prec, round_nearest)
+    assert _round_add(x, y, prec, minus) == expect
+
+
+@st.composite
+def _div_operands(draw):
+    """(digits, x, y): either sign, mantissas of 1 bit to 2 prec bits, a
+    zero numerator, a power-of-two divisor, exact quotients, and quotients
+    a remainder away from a tie at prec bits, where only the sticky bit
+    tells the side."""
+    digits = draw(st.integers(5, 300))
+    prec = _precs(digits)
+
+    def mantissa():
+        bits = draw(st.sampled_from((1, 2, 20, prec - 1, prec, prec + 1, 2 * prec)))
+        return draw(st.sampled_from((1, -1))) * draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))
+
+    xm, ym = mantissa(), mantissa()
+    kind = draw(st.sampled_from(("any", "any", "exact", "tie", "zero")))
+    if kind == "exact":
+        xm *= ym
+    elif kind == "tie":
+        q = draw(st.integers(2 ** (prec - 1), 2 ** prec - 1))
+        xm = _tie(q) * ym + draw(st.sampled_from((-1, 0, 1)))
+    elif kind == "zero":
+        xm = 0
+    exps = st.integers(-3000, 3000)
+    return digits, _raw(xm, draw(exps)), _raw(ym, draw(exps))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_div_operands())
+@example((5, _ZERO, _raw(3, 0)))  # a zero numerator
+@example((5, _raw(-(2 ** 3 * 3), 0), _raw(3, 7)))  # an exact quotient
+@example((5, _raw(2 ** (2 * _P5) + 1, 0), _raw(1, 5)))  # a power of two divisor
+@example((5, _raw(1, 0), _raw(3, 0)))  # a remainder
+# just above a tie with an even kept part: only the sticky bit rounds up
+@example((5, _raw(_tie(2 ** (_P5 - 1)) * 101 + 1, 0), _raw(101, 0)))
+@example((5, _raw(-(_tie(2 ** (_P5 - 1)) * 101 + 1), 0), _raw(101, 0)))
+@example((300, _raw(-(2 ** 2000 - 1), 9), _raw(2 ** 1000 - 3, -4)))
+def test_round_div_is_mpf_div(case):
+    """``_round_div`` is mpmath's ``mpf_div`` at round-to-nearest, bit for
+    bit."""
+    digits, x, y = case
+    prec = _precs(digits)
+    assert _round_div(x, y, prec) == mpf_div(x, y, prec, round_nearest)
+
+
+@pytest.mark.parametrize("c, digits, n", [
+    (0.18, 150, 72), (0.01, 30, 8), (2.0, 60, 11), (0.7, 5, 3),
+])
+def test_uniform_rows_are_the_mpf_recurrence(c, digits, n):
+    """``GaussianKernel._uniform_rows`` is its recurrence run on number
+    objects at the work digits, each entry rounded to the kernel's, bit for
+    bit."""
+    ctx = Precision("mp", digits)
+    kernel = GaussianKernel(c, ctx)
+    nodes = [ctx.num(j) / (n + 1) for j in range(1, n + 1)]
+    xs = nodes + [ctx.num(0), ctx.num("0.3125"), ctx.num(1)]
+    work = ctx.with_digits(digits + 5 + 2 * len(str(n))).mp
+    y0 = work.convert(nodes[0])
+    h = (work.convert(nodes[-1]) - y0) / (n - 1)
+    c2 = work.convert(kernel.c) ** 2
+    q = work.exp(-2 * c2 * h * h)
+    expect = []
+    for x in xs:
+        t = work.convert(x) - y0
+        g, r = work.exp(-c2 * t * t), work.exp(c2 * h * (2 * t - h))
+        row = []
+        for _ in range(n):
+            row.append(_bits(ctx.mp.mpf(g)))
+            g, r = g * r, r * q
+        expect.append(row)
+    assert [list(map(_bits, row)) for row in kernel._uniform_rows(xs, nodes)] == expect
