@@ -5,6 +5,13 @@ uniform evaluation grid (201 points in 1D, 51x51 in 2D, 21x21x21 in 3D);
 the relative error divides it by the maximum absolute exact value on the
 same grid.  Reports are plain data (picklable), so sweep points can run in
 worker processes; rows come back in input order regardless of job count.
+
+Every run of one ``run_sweep`` call solves the same example at the same
+precision and eps, so its exact solution's values on the evaluation grid
+are the same for all of them: in one process the first run evaluates
+them and the others read them, and they are dropped when the call
+returns.  ``run_example`` called alone, and each run in a worker
+process, evaluates its own.
 """
 
 from __future__ import annotations
@@ -16,13 +23,13 @@ import time
 from dataclasses import dataclass
 
 import mpmath
-from mpmath.libmp import to_str
+from mpmath.libmp import fzero, to_str
 
 from .benchmarks import get_example, self_check
 from .errors import BcrbfError
 from .fields import pointwise
 from .kansa import kansa_solve
-from .numerics import FLOAT64
+from .numerics import FLOAT64, _abs_gt, _round, _round_add
 from .pseudospectral import build_grid, solve
 
 CSV_COLUMNS = (
@@ -116,23 +123,57 @@ def error_metrics(solution, exact, ctx):
 
     The solution and the exact field are both evaluated on the grid as a
     whole; an exact field with only the per-point methods (no
-    ``partial_axes``) is evaluated point by point.  A value that is not
-    finite on either side raises BcrbfError naming that side: a maximum
-    would pass over a nan.
+    ``partial_axes``) is evaluated point by point.  When every value is
+    an mpf of ``ctx``, the differences and both maxima are formed on the
+    raw ``_mpf_`` tuples (``_raw_maxima``), otherwise from the number
+    objects (``_maxima``): the same figures bit for bit.  A value that is
+    not finite on either side raises BcrbfError naming that side: a
+    maximum would pass over a nan.  ``run_sweep`` hands it an exact field
+    whose grid values its runs share (``_SweepExact``).
     """
     axes = evaluation_axes(solution.grid.domain, ctx)
     approx = solution.evaluate_axes(axes)
     zeros = (0,) * len(axes)
     evaluate = getattr(exact, "partial_axes", None)
     values = evaluate(zeros, axes) if evaluate else pointwise(exact, zeros, axes)
+    maxima = ctx.mode == "mp" and _raw_maxima(approx, values, ctx.mp)
+    max_err, max_exact = maxima or _maxima(approx, values, ctx)
+    rel = max_err / max_exact if max_exact > 0 else max_err
+    return max_err, rel
+
+
+def _maxima(approx, values, ctx):
+    """(max |a - u|, max |u|) from the number objects, ``ctx.zero`` for
+    none; raises BcrbfError on a value that is not finite."""
     isfinite = math.isfinite if ctx.mode == "float64" else ctx.mp.isfinite
     for side, vals in (("solution", approx), ("exact solution", values)):
         if not all(map(isfinite, vals)):
             raise BcrbfError(f"the {side} is not finite on the evaluation grid")
     max_err = max([ctx.zero, *(abs(a - u) for a, u in zip(approx, values))])
     max_exact = max([ctx.zero, *(abs(u) for u in values)])
-    rel = max_err / max_exact if max_exact > 0 else max_err
-    return max_err, rel
+    return max_err, max_exact
+
+
+def _raw_maxima(approx, values, mp):
+    """``_maxima``'s figures from the raw tuples of mpfs of context ``mp``:
+    each difference rounded by ``numerics._round_add`` as ``a - u``
+    rounds, and the magnitudes compared exactly by ``_abs_gt``; rounding
+    is monotone, so max |u| is rounded once, at the end.  None when a
+    value is of another context or type, or not finite."""
+    cls, prec = mp.mpf, mp.prec
+    err = top = fzero
+    for a, u in zip(approx, values):
+        if type(a) is not cls or type(u) is not cls:
+            return None
+        x, y = a._mpf_, u._mpf_
+        if not x[1] and x[2] or not y[1] and y[2]:
+            return None
+        diff = _round_add(x, y, prec, 1)
+        if _abs_gt(diff, err):
+            err = diff
+        if _abs_gt(y, top):
+            top = y
+    return mp.make_mpf((0, *err[1:])), mp.make_mpf(_round(top[1], top[2], prec))
 
 
 def ensure_self_checked(ident):
@@ -165,6 +206,31 @@ def run_example(
     Numerical failures (singular systems, degenerate constraints) come back
     as a failed-run record rather than an exception; argument errors raise.
     """
+    return _run((ident, method, counts, shape, precision, eps, mode, scheme))
+
+
+class _SweepExact:
+    """An exact solution whose grid values come from ``shared``, a dict
+    that one ``run_sweep`` call keeps for its runs: the first run to ask
+    for a grid evaluates it, and the others read it.  Per-point calls go
+    straight to the field."""
+
+    def __init__(self, field, shared):
+        self.field, self.shared = field, shared
+        self.dim, self.value, self.partial = field.dim, field.value, field.partial
+
+    def partial_axes(self, orders, axes):
+        key = (tuple(orders), tuple(map(tuple, axes)))
+        values = self.shared.get(key)
+        if values is None:
+            values = self.shared[key] = self.field.partial_axes(orders, axes)
+        return values
+
+
+def _run(task, shared=None):
+    """``run_example`` of a task tuple, scoring against ``_SweepExact``
+    when given a sweep's ``shared`` dict."""
+    ident, method, counts, shape, ctx, eps, mode, scheme = task
     record = get_example(ident)
     if method not in ("constrained", "kansa"):
         raise ValueError(f"unknown method {method!r}")
@@ -173,7 +239,6 @@ def run_example(
             f"{ident} is {record.dim}-dimensional; grid {grid_label(counts)} is not"
         )
     ensure_self_checked(ident)
-    ctx = precision
     report = RunReport(
         example=ident,
         method=method,
@@ -191,7 +256,8 @@ def run_example(
         # the solve's estimates stand even when the error metric fails
         report.cond_A = _fmt_cond(sol.diagnostics.get("cond_A"))
         report.cond_AL = _fmt_cond(sol.diagnostics.get("cond_AL"))
-        max_err, rel = error_metrics(sol, problem.exact, ctx)
+        exact = problem.exact if shared is None else _SweepExact(problem.exact, shared)
+        max_err, rel = error_metrics(sol, exact, ctx)
         report.max_abs_err = float(max_err)
         report.rel_err = float(rel)
     except BcrbfError as exc:
@@ -201,20 +267,20 @@ def run_example(
     return report
 
 
-def _sweep_worker(args):
-    return run_example(*args)
-
-
 def sweep_shapes(c_min, c_max, steps):
-    """Logarithmically spaced shape parameters, ascending."""
+    """Logarithmically spaced shape parameters, ascending, from exactly
+    ``c_min`` to exactly ``c_max``: an mp run takes its shape's float
+    exactly, so a sweep's end runs are the single runs at those shapes."""
     if not (0 < c_min <= c_max):
         raise ValueError("shape range must be positive and ascending")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    c_min, c_max = float(c_min), float(c_max)
     if steps == 1:
-        return [float(c_min)]
+        return [c_min]
     ratio = (c_max / c_min) ** (1.0 / (steps - 1))
-    return [float(c_min) * ratio**k for k in range(steps)]
+    inner = (min(c_min * ratio**k, c_max) for k in range(1, steps - 1))
+    return [c_min, *inner, c_max]
 
 
 def run_sweep(
@@ -232,7 +298,15 @@ def run_sweep(
 ):
     """One RunReport per (shape, method); failures are recorded inline and
     the sweep continues.  ``method`` may be 'constrained', 'kansa' or
-    'both'."""
+    'both'.
+
+    With ``jobs <= 1`` the runs share their exact solution's grid values
+    (``_SweepExact``), evaluated once by the first run that scores and
+    dropped when this call returns: every run here makes the same problem
+    from (ident, precision, eps), so each would compute the same values.
+    With more jobs each worker's run evaluates its own.  Either way every
+    row equals that of ``run_example`` at its shape and method, but for
+    ``seconds``."""
     methods = ("constrained", "kansa") if method == "both" else (method,)
     shapes = sweep_shapes(c_min, c_max, steps)
     tasks = [
@@ -241,9 +315,10 @@ def run_sweep(
         for m in methods
     ]
     if jobs <= 1:
-        return [_sweep_worker(t) for t in tasks]
+        shared = {}
+        return [_run(t, shared) for t in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_sweep_worker, tasks))
+        return list(pool.map(_run, tasks))
 
 
 def emit(reports, fmt="csv"):

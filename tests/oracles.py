@@ -6,8 +6,10 @@ definiteness decisions, each from first principles.  A Cholesky
 factorization tests positive definiteness, and ``per_entry_expansion``
 evaluates a solution from kernel matrices formed entry by entry, and
 ``CroutLU`` is the LU factorization on number objects that the package's
-factors on aligned integers must reproduce bit for bit.  The helpers at
-the end are conveniences over the package that only tests use.
+factors on aligned integers must reproduce bit for bit, as
+``error_maxima`` is the error metric on number objects that the
+package's on raw tuples must.  The helpers at the end are conveniences
+over the package that only tests use.
 """
 
 import math
@@ -223,6 +225,22 @@ class CroutLU:
 
 
 # -- helpers over the package -------------------------------------------------
+
+
+def error_maxima(approx, values, ctx):
+    """``reporting.error_metrics``' figures from the grid values of the
+    solution and of the exact solution, formed from the number objects:
+    max |a - u| and that over max |u| (itself when the exact values are
+    all 0).  A value that is not finite raises BcrbfError naming its
+    side, the solution first."""
+    isfinite = math.isfinite if ctx.mode == "float64" else ctx.mp.isfinite
+    for side, vals in (("solution", approx), ("exact solution", values)):
+        if not all(map(isfinite, vals)):
+            raise BcrbfError(f"the {side} is not finite on the evaluation grid")
+    max_err = max([ctx.zero, *(abs(a - u) for a, u in zip(approx, values))])
+    max_exact = max([ctx.zero, *(abs(u) for u in values)])
+    rel = max_err / max_exact if max_exact > 0 else max_err
+    return max_err, rel
 
 
 def zeros(ctx, rows, cols):

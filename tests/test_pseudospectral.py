@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath.libmp import from_rational
 
 from bcrbf.benchmarks import get_example
 from bcrbf.constrained import impose, impose_sequence
-from bcrbf.errors import NodeCollision, SingularMatrix
+from bcrbf.errors import DegenerateConstraint, NodeCollision, SingularMatrix
 from bcrbf.fields import apply_functional
 from bcrbf.functionals import make_dirichlet, make_multipoint, make_neumann, make_robin
 from bcrbf.kansa import kansa_solve
@@ -556,6 +558,51 @@ def test_mode_equivalence_well_conditioned():
     diff = max(abs(a - b) for a, b in zip(s_ps.nodal, s_direct.nodal))
     scale = max(abs(a) for a in s_direct.nodal)
     assert diff <= mpmath.mpf(10) ** (8 - 40) * scale
+
+
+QUARTERS = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+@st.composite
+def _boundary_condition(draw, a, ctx):
+    """A Dirichlet, Neumann or Robin condition at ``a`` with coefficients
+    and data in quarters of [-2, 2]."""
+    kind = draw(st.sampled_from(["dirichlet", "neumann", "robin"]))
+    rhs = draw(QUARTERS)
+    if kind == "robin":
+        alpha, beta = draw(QUARTERS), draw(QUARTERS)
+        assume(alpha or beta)
+        return BoundaryCondition(make_robin(alpha, beta, a, rhs, ctx))
+    make = make_dirichlet if kind == "dirichlet" else make_neumann
+    return BoundaryCondition(make(a, rhs, ctx))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_ps_and_direct_routes_agree_within_their_digits(data):
+    """u'' + q u = f on [0, 1], N <= 10 nodes, c log-uniform in [0.01, 2],
+    mp:40: each route's nodal values are within 10^-E of the largest of
+    the assembled system's solution, E its effective digits, so the two
+    differ by at most 2 10^-E of it."""
+    ctx = MP40
+    pair = tuple(data.draw(_boundary_condition(a, ctx), label=f"bc at {a}") for a in (0, 1))
+    q, f = data.draw(QUARTERS, label="q"), data.draw(QUARTERS, label="f")
+    n = data.draw(st.integers(2, 10), label="N")
+    shape = 10 ** data.draw(st.floats(-2, math.log10(2)), label="log10 c")
+    problem = ProblemSpec(
+        domain=((ctx.zero, ctx.one),),
+        operator=OperatorSpec((OperatorTerm((2,), 1), OperatorTerm((0,), q))),
+        bcs=(pair,),
+        rhs=lambda p: ctx.num(f),
+    )
+    try:
+        direct, ps = (solve(problem, (n,), shape, ctx, mode=m) for m in ("direct", "ps"))
+    except DegenerateConstraint:
+        assume(False)
+    digits = min(s.diagnostics["effective_digits"] for s in (direct, ps))
+    diff = max(abs(u - v) for u, v in zip(ps.nodal, direct.nodal))
+    scale = max(abs(v) for v in direct.nodal)
+    assert diff <= 2 * ctx.mp.mpf(10) ** -digits * scale
 
 
 def _trivial_system(ctx, n):

@@ -1,16 +1,24 @@
+import dataclasses
 import math
+import operator
 import os
+import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bcrbf.benchmarks import get_example
 import bcrbf.cli as cli
 from bcrbf.cli import main
 from bcrbf.errors import BcrbfError
-from bcrbf.numerics import FLOAT64, Precision
+from bcrbf.fields import ScalarField
+from bcrbf.numerics import FLOAT64, Precision, _round
 from bcrbf.pseudospectral import Solution, solve
+import bcrbf.reporting as reporting
 from bcrbf.reporting import (
     CSV_COLUMNS,
     RunReport,
@@ -24,6 +32,8 @@ from bcrbf.reporting import (
     run_sweep,
     sweep_shapes,
 )
+
+from oracles import error_maxima
 
 MP60 = Precision("mp", 60)
 
@@ -47,8 +57,9 @@ def test_sweep_shapes():
     shapes = sweep_shapes(0.01, 2.0, 30)
     assert len(shapes) == 30
     assert shapes == sorted(shapes)
-    assert shapes[0] == pytest.approx(0.01)
-    assert shapes[-1] == pytest.approx(2.0)
+    assert shapes[0] == 0.01
+    assert shapes[-1] == 2.0
+    assert sweep_shapes(0.01, 2, 3)[-1] == 2
     with pytest.raises(ValueError):
         sweep_shapes(-1, 2, 5)
     with pytest.raises(ValueError):
@@ -163,6 +174,55 @@ def test_deterministic_output_modulo_seconds():
     a = run_sweep("ex1", "constrained", (6,), 0.3, 1.0, 3, MP60, eps=0.5)
     b = run_sweep("ex1", "constrained", (6,), 0.3, 1.0, 3, MP60, eps=0.5)
     assert stable(a) == stable(b)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_sweeps_rows_are_the_rows_of_its_runs_made_alone(jobs):
+    """Runs in one process share the exact solution's grid values, runs in
+    workers make their own: every field but seconds is the single run's."""
+
+    def fields(r):
+        return (*r.row()[:-1], r.status, r.message)
+
+    sweep = run_sweep("ex4", "both", (5, 5), 0.05, 1.0, 3, MP60, jobs=jobs)
+    alone = [
+        run_example("ex4", m, (5, 5), c, MP60)
+        for c in sweep_shapes(0.05, 1.0, 3)
+        for m in ("constrained", "kansa")
+    ]
+    assert [fields(r) for r in sweep] == [fields(r) for r in alone]
+
+
+def test_a_sweep_evaluates_its_exact_solution_on_the_grid_once(monkeypatch):
+    """Once per run_sweep call, not once per run, and nothing outlives the
+    call."""
+    record = get_example("ex4")
+    grids = []
+
+    class Counted(ScalarField):
+        dim = 2
+
+        def __init__(self, field):
+            self.field = field
+
+        def partial_axes(self, orders, axes):
+            grids.append(len(axes[0]))
+            return self.field.partial_axes(orders, axes)
+
+    def make(ctx, eps=None):
+        problem = record.make(ctx, eps)
+        return dataclasses.replace(problem, exact=Counted(problem.exact))
+
+    reporting.ensure_self_checked("ex4")
+    monkeypatch.setattr(
+        reporting, "get_example", lambda ident: dataclasses.replace(record, make=make)
+    )
+    run_sweep("ex4", "both", (5, 5), 0.05, 1.0, 2, MP60)
+    assert grids == [51]
+    run_sweep("ex4", "both", (5, 5), 0.05, 1.0, 2, MP60)
+    assert grids == [51, 51]
+    run_example("ex4", "kansa", (5, 5), 0.5, MP60)
+    assert grids == [51, 51, 51]
 
 
 @pytest.mark.slow
@@ -313,6 +373,100 @@ def test_error_metrics_rejects_nonfinite_values(capsys):
     broken = Solution(FLOAT64, sol.grid, sol.kernels, [math.nan] * 8, sol.hom)
     with pytest.raises(BcrbfError, match="the solution is not finite"):
         error_metrics(broken, problem.exact, FLOAT64)
+
+
+class _GridValues:
+    """A solution or an exact field with the given values on any grid."""
+
+    def __init__(self, values):
+        self.values = values
+        self.grid = SimpleNamespace(domain=((0, 1),))
+
+    def evaluate_axes(self, axes):
+        return self.values
+
+    def partial_axes(self, orders, axes):
+        return self.values
+
+
+def _numbers(ctx):
+    """Numbers of ``ctx`` of either sign: floats, or mpfs of short or long
+    mantissas, rounded to its digits or held exact with up to 8 bits more."""
+    if ctx.mode == "float64":
+        return st.floats(-1e3, 1e3)
+    prec = ctx.mp.prec
+    long = st.integers(2**prec, 2 ** (prec + 8))
+    return st.builds(
+        lambda m, e, exact: ctx.mp.make_mpf(_round(m, e, 0 if exact else prec)),
+        st.one_of(st.integers(-8, 8), long, long.map(operator.neg)),
+        st.integers(-prec - 40, 40),
+        st.booleans(),
+    )
+
+
+MP20 = Precision("mp", 20)
+
+
+@st.composite
+def _error_cases(draw):
+    """(ctx, solution values, exact values): ties in the maximum (values
+    drawn from a small pool), both signs, an all-zero exact solution, a
+    value at other digits and a value that is not finite, on either side."""
+    ctx = draw(st.sampled_from([MP60, MP20, FLOAT64]))
+    number = _numbers(ctx)
+    pool = draw(st.lists(number, min_size=1, max_size=3))
+    entry = st.one_of(st.sampled_from(pool), number, st.just(ctx.zero))
+    n = draw(st.integers(1, 12))
+    approx = draw(st.lists(entry, min_size=n, max_size=n))
+    values = draw(st.lists(entry, min_size=n, max_size=n))
+    twist = draw(st.sampled_from([None, "zero exact", "other digits", "special"]))
+    if twist == "zero exact":
+        values = [ctx.zero] * n
+    elif twist:
+        if twist == "other digits":
+            odd = draw(_numbers(Precision("mp", 30) if ctx.mode == "mp" else MP60))
+        else:
+            inf = math.inf if ctx.mode == "float64" else ctx.mp.inf
+            odd = draw(st.sampled_from([inf, -inf, inf - inf]))
+        side = draw(st.sampled_from([approx, values]))
+        side[draw(st.integers(0, n - 1))] = odd
+    return ctx, approx, values
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=_error_cases())
+# an exact value held with 3 bits more than its context's enters max |u|
+# rounded, as abs rounds it
+@example(case=(MP20, [MP20.zero], [MP20.mp.make_mpf(_round(2**73 + 5, 0))]))
+def test_error_metrics_is_the_number_object_oracle(case):
+    """The figures on raw tuples are those of the number objects bit for
+    bit, and the same side is named when a value is not finite."""
+    ctx, approx, values = case
+
+    def bits(v):
+        return type(v), v.hex() if isinstance(v, float) else v._mpf_
+
+    try:
+        want = error_maxima(approx, values, ctx)
+    except BcrbfError as exc:
+        with pytest.raises(BcrbfError, match=f"^{re.escape(str(exc))}$"):
+            error_metrics(_GridValues(approx), _GridValues(values), ctx)
+        return
+    got = error_metrics(_GridValues(approx), _GridValues(values), ctx)
+    assert [bits(v) for v in got] == [bits(v) for v in want]
+
+
+@pytest.mark.parametrize("special", ["nan", "inf", "-inf"])
+def test_error_metrics_names_the_side_of_an_mp_special(special):
+    value = MP60.mp.mpf(special)
+    ok = [MP60.one] * 4
+    for approx, values, side in (
+        ([*ok[:3], value], ok, "the solution"),
+        (ok, [value, *ok[:3]], "the exact solution"),
+        ([value, *ok[:3]], [*ok[:3], value], "the solution"),
+    ):
+        with pytest.raises(BcrbfError, match=f"^{side} is not finite on the"):
+            error_metrics(_GridValues(approx), _GridValues(values), MP60)
 
 
 def test_condition_estimates_survive_a_failed_error_metric(capsys):
