@@ -11,7 +11,8 @@ the same way preserves the first annihilation, so a sequence of
 impositions yields a kernel that satisfies all its boundary functionals
 at once.  A correction is stored as its trace phi and gamma, never
 expanded symbolically; phi (``functionals.KernelTrace``) differentiates
-the underlying kernel's mixed partials, never numerically.
+the underlying kernel's mixed partials, never numerically, and gamma is
+L applied to that same trace, gamma = L phi, read from its memo.
 
 Entry by entry (``mixed_partial``) a kernel is its base entry plus, per
 correction, d^m phi_k(x) times the scaled right factor
@@ -35,7 +36,7 @@ from __future__ import annotations
 import mpmath
 
 from .errors import DegenerateConstraint
-from .functionals import KernelTrace, bilinear
+from .functionals import KernelTrace
 from .numerics import CorrectedMatrix, corrected_entry, correction_scales
 
 
@@ -92,20 +93,20 @@ class ConstrainedKernel:
 def impose(kernel, functional):
     """Append one rank-one correction annihilating ``functional``.
 
-    ``kernel`` may be a base kernel or an already-constrained one.  Raises
-    DegenerateConstraint when |L_x L_y R| falls below the working-precision
-    threshold: a vanishing denominator makes the correction numerically
-    meaningless before it is exactly zero.
+    ``kernel`` may be a base kernel or an already-constrained one.  The
+    denominator is gamma = L phi, the functional applied to its own trace
+    phi = L_y R.  Raises DegenerateConstraint when |gamma| falls below the
+    working-precision threshold: a vanishing denominator makes the
+    correction numerically meaningless before it is exactly zero.
     """
-    ctx = kernel.ctx
-    gamma = bilinear(functional, functional, kernel)
-    if abs(gamma) <= ctx.tol(5):
+    trace = KernelTrace(kernel, functional)
+    gamma = functional.apply(trace.deriv)
+    if abs(gamma) <= kernel.ctx.tol(5):
         raise DegenerateConstraint(
             f"bilinear denominator {mpmath.nstr(gamma, 4)} is numerically zero "
             f"for {functional!r}",
             gamma=gamma,
         )
-    trace = KernelTrace(kernel, functional)
     if isinstance(kernel, ConstrainedKernel):
         return ConstrainedKernel(
             kernel.base,

@@ -7,9 +7,14 @@ u'.  Higher orders are rejected, not truncated.  The nonhomogeneous value
 is carried on the functional itself (``rhs``) so homogenization can consume
 (functional, value) pairs uniformly.
 
-A functional applied to one slot of a symmetric kernel is a
-``KernelTrace``, a one-variable function of the other slot (an
-``fields.Fn1``); applied to a field it is ``fields.FieldTraceData``.
+That sum is written once, ``BoundaryFunctional.apply(derivative)``, for
+any ``derivative(location, order)``: a kernel's mixed partial in one slot
+(``KernelTrace``), a trace's ``Fn1.deriv`` (the denominator gamma of a
+correction, ``constrained.impose``) and a monomial's derivative (the
+rows of the homogenization ansatz).  A functional applied to one slot of
+a symmetric kernel is a ``KernelTrace``, a one-variable function of the
+other slot (an ``fields.Fn1``); applied to a field it is
+``fields.FieldTraceData``, which sums whole grids of values.
 
 Functionals are immutable value objects.
 """
@@ -49,6 +54,11 @@ class BoundaryFunctional:
         self.kind = kind
         self.terms = tuple(terms)
         self.rhs = rhs
+
+    def apply(self, derivative):
+        """sum_k coeff_k * derivative(location_k, order_k), in term order;
+        ``derivative`` takes its arguments as ``Fn1.deriv`` does."""
+        return sum(t.coeff * derivative(t.location, t.order) for t in self.terms)
 
     def support_locations(self):
         return tuple(t.location for t in self.terms)
@@ -126,31 +136,16 @@ class KernelTrace(Fn1):
     assembly hits each trace at every grid node many times.
     """
 
-    __slots__ = ("kernel", "terms")
+    __slots__ = ("kernel", "functional")
 
     def __init__(self, kernel, functional):
         self.kernel = kernel
-        self.terms = functional.terms
+        self.functional = functional
         self._cache = {}
 
     def _compute(self, t, order):
-        k = self.kernel
-        return sum(
-            tm.coeff * k.mixed_partial(order, tm.order, t, tm.location)
-            for tm in self.terms
-        )
-
-
-def bilinear(l1, l2, kernel):
-    """L1 applied to the first slot, L2 to the second:
-    sum_ij c1_i c2_j d_x^{o1_i} d_y^{o2_j} R(loc1_i, loc2_j)."""
-    total = 0
-    for t1 in l1.terms:
-        for t2 in l2.terms:
-            total += t1.coeff * t2.coeff * kernel.mixed_partial(
-                t1.order, t2.order, t1.location, t2.location
-            )
-    return total
+        partial = self.kernel.mixed_partial
+        return self.functional.apply(lambda loc, o: partial(order, o, t, loc))
 
 
 # -- plain-text form ----------------------------------------------------------

@@ -26,27 +26,29 @@ M is a field of the ``fields`` protocol: it defines ``partial_axes``
 alone, a single point being a grid of 1-point axes.  Terms are grouped
 by the directions their trace follows; per group each trace is
 evaluated once on the subgrid over those directions by its data's
-``partial_axes``, with a 1-point axis where it is frozen (memoized per
-derivative orders and subgrid), and the coefficients are summed per
-monomial degree.  Each group is contracted with the monomials'
-derivatives on the grid along every swept direction but its last (mode
-products, as for the kernel expansion), and the last contractions of all
-groups are folded into one exact dot per grid value
-(``numerics.mode_sum``), together with the kernel expansion's when a
-solution is evaluated.  Sums are exact in mp (``numerics.dot``), and
-every grid value equals the pointwise one bit for bit.
+``partial_axes``, with a 1-point axis where it is frozen, and the
+coefficients are summed per monomial degree.  Each group is contracted
+with the monomials' derivatives (``_monomial``) on the grid along every
+swept direction but its last (mode products, as for the kernel
+expansion), and the last contractions of all groups are folded into one
+exact dot per grid value (``numerics.mode_sum``), together with the
+kernel expansion's when a solution is evaluated.  Sums are exact in mp
+(``numerics.dot``), and every grid value equals the pointwise one bit
+for bit.
 
 The polynomial ansatz starts at degree 1 and escalates to 2, then 3, when
 the functional pair is singular on the lower-degree space (e.g. a pair of
 Neumann conditions annihilates all linear polynomials' second coefficient
-mismatch).  Corner-incompatible data is not rejected: the final sweep's
-directions are matched exactly and earlier ones self-correct only when the
-data are compatible, which is documented behavior.
+mismatch).  Its rows are the functionals applied to the monomials
+(``BoundaryFunctional.apply`` of ``_monomial``), and a pair of powers is
+judged on the rows scaled to unit size, so the judgment does not depend
+on the scale of either functional.  Corner-incompatible data is not
+rejected: the final sweep's directions are matched exactly and earlier
+ones self-correct only when the data are compatible, which is documented
+behavior.
 
 A map evaluates at the digits of its ``Precision``, at points rounded to
-them, and memoizes trace values into a dict it owns.  Threads sharing a
-map at worst compute a memoized value twice, to the same bits (see
-``numerics``).
+them, and holds no mutable state (see ``numerics``).
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ class HomogenizationMap(ScalarField):
             follows = tuple(e for e, k in enumerate(monomials[0][1]) if k is None)
             groups.setdefault(follows, []).append((trace, monomials))
         self._groups = tuple(groups.items())
-        self._memo = {}
 
     def partial_axes(self, orders, axes):
         """d^orders M at every point of the tensor grid ``axes``, in flat
@@ -143,7 +144,7 @@ class HomogenizationMap(ScalarField):
             for e in swept:
                 o = orders[e]
                 mats[e] = [
-                    [math.perm(o + k, o) * x**k for k in range(shape[e])]
+                    [_monomial(x, o + k, o) for k in range(shape[e])]
                     for x in axes[e]
                 ]
             parts.append((c, shape, mats))
@@ -152,8 +153,7 @@ class HomogenizationMap(ScalarField):
     def _trace_values(self, trace, orders, axes):
         """The trace's factor at every point of the subgrid over the
         directions it follows, in flat order, from its data's
-        ``partial_axes`` with 1-point axes where it is frozen; memoized
-        per derivative orders and subgrid."""
+        ``partial_axes`` with 1-point axes where it is frozen."""
         if trace is None:
             return [self.ctx.one]
         data, slots = trace
@@ -161,11 +161,7 @@ class HomogenizationMap(ScalarField):
         coords = tuple(
             tuple(axes[e]) if fixed is None else (fixed[1],) for e, fixed in slots
         )
-        key = (data, torders, coords)
-        vals = self._memo.get(key)
-        if vals is None:
-            vals = self._memo[key] = data.partial_axes(torders, coords)
-        return vals
+        return data.partial_axes(torders, coords)
 
     @classmethod
     def zero(cls, dim, ctx):
@@ -201,44 +197,38 @@ def _face_datum(data, d, dim):
     return {(powers, (data, slots)): 1}
 
 
-def _functional_on_monomial(functional, k, ctx):
-    """L applied to x**k."""
-    total = ctx.zero
-    for t in functional.terms:
-        if t.order == 0:
-            total += t.coeff * (t.location**k if k else ctx.one)
-        else:
-            if k >= 1:
-                total += t.coeff * k * (t.location ** (k - 1) if k > 1 else ctx.one)
-    return total
+def _monomial(x, k, o):
+    """d^o/dx^o x**k at x: perm(k, o) * x**(k - o), and 0 for o > k."""
+    return math.perm(k, o) * x ** (k - o) if o <= k else 0
 
 
 def _ansatz_weights(l1, l2, ctx):
     """Pick monomial powers (k1, k2) and the 2x2 inverse mapping data to
-    coefficients, escalating the degree while the system stays singular."""
+    coefficients, escalating the degree while the system stays singular.
+
+    A pair of powers is judged by its determinant with each functional's
+    row divided by its largest |entry| and each column by its sum of
+    |entries|: at most 1, and the same for a functional at any scale."""
     for degree in range(1, _MAX_ANSATZ_DEGREE + 1):
         rows = [
-            [_functional_on_monomial(l, k, ctx) for k in range(degree + 1)]
+            [l.apply(lambda x, o: _monomial(x, k, o)) for k in range(degree + 1)]
             for l in (l1, l2)
         ]
-        best = None
-        for k1 in range(degree + 1):
-            for k2 in range(k1 + 1, degree + 1):
-                det = rows[0][k1] * rows[1][k2] - rows[0][k2] * rows[1][k1]
-                scale = max(
-                    abs(rows[0][k1]) + abs(rows[1][k1]), ctx.one
-                ) * max(abs(rows[0][k2]) + abs(rows[1][k2]), ctx.one)
-                if best is None or abs(det) / scale > best[0]:
-                    best = (abs(det) / scale, k1, k2, det)
-        rel, k1, k2, det = best
-        if rel > ctx.tol(5):
-            s11, s12 = rows[0][k1], rows[0][k2]
-            s21, s22 = rows[1][k1], rows[1][k2]
-            w = (
-                (s22 / det, -s12 / det),
-                (-s21 / det, s11 / det),
-            )
-            return (k1, k2), w
+        peaks = [max(map(abs, row)) for row in rows]
+        if not all(peaks):
+            continue
+        unit = [[v / p for v in row] for row, p in zip(rows, peaks)]
+
+        def rel(powers):
+            (a, b), (c, d) = [[u[k] for k in powers] for u in unit]
+            scale = (abs(a) + abs(c)) * (abs(b) + abs(d))
+            return abs(a * d - b * c) / scale if scale else 0
+
+        powers = max(itertools.combinations(range(degree + 1), 2), key=rel)
+        (s11, s12), (s21, s22) = [[row[k] for k in powers] for row in rows]
+        det = s11 * s22 - s12 * s21
+        if rel(powers) > ctx.tol(5) and det:
+            return powers, ((s22 / det, -s12 / det), (-s21 / det, s11 / det))
     raise NoHomogenizer(
         f"no polynomial ansatz up to degree {_MAX_ANSATZ_DEGREE} matches "
         f"{l1!r} and {l2!r}"

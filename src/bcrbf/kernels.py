@@ -7,14 +7,15 @@ A kernel handle downstream is any symmetric kernel, R(x, y) = R(y, x),
 with ``eval(x, y)``, ``mixed_partial(m, n, x, y)`` and
 ``partial_matrix(m, xs, nodes, uniform)``.  Only boundary functionals
 use the first two, entry by entry, and by symmetry they apply them to
-the second slot alone (``functionals.KernelTrace``).  Every kernel
-matrix -- the node tables of the constrained and Kansa systems, and the
-matrices that evaluate a solution -- comes from the third: d^m/dx^m
-R(x, y) over points xs and one axis's nodes, as a list of rows or as a
-``numerics.CorrectedMatrix`` for a constrained kernel.  ``uniform`` says
-that the nodes are equally spaced, as the grid builders know.  A kernel
-computes at the digits of its ``Precision`` and may be shared between
-threads (see ``numerics``).
+the second slot alone (``functionals.KernelTrace``): a correction's
+denominator is the functional applied to that trace, so it reads no
+entry of its own.  Every kernel matrix -- the node tables of the
+constrained and Kansa systems, and the matrices that evaluate a
+solution -- comes from the third: d^m/dx^m R(x, y) over points xs and
+one axis's nodes, as a list of rows or as a ``numerics.CorrectedMatrix``
+for a constrained kernel.  ``uniform`` says that the nodes are equally
+spaced, as the grid builders know.  A kernel computes at the digits of
+its ``Precision`` and may be shared between threads (see ``numerics``).
 """
 
 from __future__ import annotations
@@ -69,14 +70,10 @@ class GaussianKernel:
         self.c = shape
         self.ctx = ctx
         self._expcache = {}
-        self._ratios = {}
 
     def _gauss(self, delta):
-        """exp(-(c*delta)^2), memoized per offset.
-
-        Every cached value is at the kernel's digits.  Threads sharing a
-        kernel at worst compute an entry twice, to the same bits.
-        """
+        """exp(-(c*delta)^2), memoized per offset at the kernel's
+        digits."""
         e = self._expcache.get(delta)
         if e is None:
             s = self.c * delta
@@ -151,10 +148,9 @@ class GaussianKernel:
         The j-th entry carries about j^2 / 2 roundings, so the recurrence
         runs with digits to spare for n^2 of them and each entry is then
         rounded to the kernel's digits: within a unit in the last place
-        of exp.  q is computed once per node spacing.  The recurrence
-        steps on integer mantissas and exponents, each product rounded at
-        the work digits by ``numerics._round``, which also rounds each
-        entry.
+        of exp.  The recurrence steps on integer mantissas and exponents,
+        each product rounded at the work digits by ``numerics._round``,
+        which also rounds each entry.
         """
         ctx, n = self.ctx, len(nodes)
         digits = ctx.digits + 5 + 2 * len(str(n))
@@ -162,9 +158,7 @@ class GaussianKernel:
         y0 = work.convert(nodes[0])
         h = (work.convert(nodes[-1]) - y0) / (n - 1)
         c2 = work.convert(self.c) ** 2
-        q = self._ratios.get((digits, h))
-        if q is None:
-            q = self._ratios.setdefault((digits, h), work.exp(-2 * c2 * h * h))
+        q = work.exp(-2 * c2 * h * h)
         wprec, prec = work.prec, ctx.mp.prec
         make = ctx.mp.make_mpf
         _, qm, qe, _ = q._mpf_

@@ -8,8 +8,10 @@ evaluates a solution from kernel matrices formed entry by entry, and
 ``CroutLU`` is the LU factorization on number objects that the package's
 factors on aligned integers must reproduce bit for bit, as
 ``error_maxima`` is the error metric on number objects that the
-package's on raw tuples must.  The helpers at the end are conveniences
-over the package that only tests use.
+package's on raw tuples must.  ``bilinear`` and ``functional_on_monomial``
+apply a boundary functional term by term, without the package's one
+formula (``BoundaryFunctional.apply``).  The helpers at the end are
+conveniences over the package that only tests use.
 """
 
 import math
@@ -222,6 +224,33 @@ class CroutLU:
             if p != k:
                 x[k], x[p] = x[p], x[k]
         return x
+
+
+def bilinear(l1, l2, kernel):
+    """L1 applied to the first slot, L2 to the second, as one flat double
+    sum: sum_ij c1_i (c2_j d_x^{o1_i} d_y^{o2_j} R(loc1_i, loc2_j)),
+    from the kernel's entries.  L applied to L's kernel trace is a
+    correction's gamma; for one-term functionals the two agree bit for
+    bit, and otherwise they differ only in the order of the sum."""
+    total = 0
+    for t1 in l1.terms:
+        for t2 in l2.terms:
+            total += t1.coeff * (t2.coeff * kernel.mixed_partial(
+                t1.order, t2.order, t1.location, t2.location
+            ))
+    return total
+
+
+def functional_on_monomial(functional, k, ctx):
+    """L applied to x**k, case by case in the order and the power."""
+    total = ctx.zero
+    for t in functional.terms:
+        if t.order == 0:
+            total += t.coeff * (t.location**k if k else ctx.one)
+        else:
+            if k >= 1:
+                total += t.coeff * k * (t.location ** (k - 1) if k > 1 else ctx.one)
+    return total
 
 
 # -- helpers over the package -------------------------------------------------

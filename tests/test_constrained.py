@@ -24,7 +24,7 @@ from bcrbf.pseudospectral import (
 )
 from bcrbf.numerics import lu_factor
 
-from oracles import apply_to_function, cholesky, fd_mixed_partial_f64
+from oracles import apply_to_function, bilinear, cholesky, fd_mixed_partial_f64
 
 MP50 = Precision("mp", 50)
 
@@ -323,3 +323,27 @@ def test_imposed_kernels_annihilate_random_admissible_functionals(data):
             )
             residual = apply_to_function(L, slice_in_x(ck, y))
             assert abs(residual) <= ctx.tol(10) * max(ctx.one, size)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_gamma_from_the_trace_equals_the_double_sum(data):
+    """Each correction's gamma, L applied to its own kernel trace, equals
+    the double sum over the kernel's entries it was imposed on: bit for
+    bit for a one-term functional, whose two forms round the same
+    products, and within 10^(5-D) relative when the sums' orders differ."""
+    ctx = MP50
+    shape = data.draw(st.floats(0.05, 3, exclude_min=True), label="c")
+    funcs = data.draw(_admissible_pair(ctx), label="functionals")
+    kernel = GaussianKernel(shape, ctx)
+    for L in funcs:
+        expected = bilinear(L, L, kernel)
+        try:
+            kernel = impose(kernel, L)
+        except DegenerateConstraint:
+            assume(False)
+        gamma = kernel.gammas[-1]
+        if len(L.terms) == 1:
+            assert gamma == expected
+        else:
+            assert abs(gamma - expected) <= ctx.tol(5) * abs(expected)

@@ -10,7 +10,6 @@ from bcrbf.functionals import (
     BoundaryFunctional,
     FunctionalTerm,
     KernelTrace,
-    bilinear,
     format_functional,
     make_dirichlet,
     make_multipoint,
@@ -21,7 +20,7 @@ from bcrbf.functionals import (
 from bcrbf.kernels import GaussianKernel
 from bcrbf.numerics import FLOAT64, Precision
 
-from oracles import apply_to_function, fd_mixed_partial_f64
+from oracles import apply_to_function, bilinear, fd_mixed_partial_f64
 
 MP40 = Precision("mp", 40)
 
@@ -141,11 +140,16 @@ def test_trace_derivatives_match_finite_differences():
 
 
 def test_bilinear_examples():
+    """L1 L2 R as L1 applied to the kernel trace of L2."""
     k = GaussianKernel(1.0)
     a = 0.35
-    assert bilinear(make_dirichlet(a), make_dirichlet(a), k) == pytest.approx(1.0)
-    assert bilinear(make_neumann(0.0), make_neumann(0.0), k) == pytest.approx(2.0)
-    got = bilinear(make_dirichlet(0.0), make_dirichlet(1.0), k)
+
+    def bilinear_via_apply(l1, l2):
+        return l1.apply(KernelTrace(k, l2).deriv)
+
+    assert bilinear_via_apply(make_dirichlet(a), make_dirichlet(a)) == pytest.approx(1.0)
+    assert bilinear_via_apply(make_neumann(0.0), make_neumann(0.0)) == pytest.approx(2.0)
+    got = bilinear_via_apply(make_dirichlet(0.0), make_dirichlet(1.0))
     assert got == pytest.approx(math.exp(-1))
 
 
@@ -156,9 +160,9 @@ def test_bilinear_slot_commutation():
     direct = bilinear(l1, l2, k)
     # apply L1 first then L2, and the other way around
     t1 = KernelTrace(k, l1)
-    via_first = apply_to_function(l2, t1)
+    via_first = l2.apply(t1.deriv)
     t2 = KernelTrace(k, l2)
-    via_second = apply_to_function(l1, t2)
+    via_second = l1.apply(t2.deriv)
     assert direct == pytest.approx(via_first, rel=1e-12)
     assert direct == pytest.approx(via_second, rel=1e-12)
 

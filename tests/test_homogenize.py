@@ -4,6 +4,8 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bcrbf.benchmarks import get_example
 from bcrbf.errors import NoHomogenizer
@@ -14,12 +16,18 @@ from bcrbf.functionals import (
     make_neumann,
     make_robin,
 )
-from bcrbf.homogenize import HomogenizationMap, homogenize_nd
+from bcrbf.homogenize import HomogenizationMap, _ansatz_weights, homogenize_nd
 from bcrbf.fields import FieldTraceData, Fn1, LambdaField, fn_constant
 from bcrbf.numerics import FLOAT64, Precision
 
-from oracles import fd_mixed_partial_f64, homogenize_1d, homogenize_2d_dirichlet
+from oracles import (
+    fd_mixed_partial_f64,
+    functional_on_monomial,
+    homogenize_1d,
+    homogenize_2d_dirichlet,
+)
 
+MP40 = Precision("mp", 40)
 MP50 = Precision("mp", 50)
 
 
@@ -61,10 +69,121 @@ def test_1d_multipoint_with_dirichlet():
     assert apply_functional(l2, 0, m) == pytest.approx(3.0)
 
 
+def test_multipoint_annihilating_linears_escalates_degree():
+    # u(0) - 2 u(1) + u(2) is 0 on every linear polynomial: its degree-1
+    # row is all zeros, and the ansatz moves on to x^2
+    l1 = make_multipoint(0.0, [(2.0, 1.0), (-1.0, 2.0)], 0.5)
+    l2 = make_dirichlet(3.0, 2.0)
+    m = homogenize_1d(l1, l2, FLOAT64)
+    assert apply_functional(l1, 0, m) == pytest.approx(0.5)
+    assert apply_functional(l2, 0, m) == pytest.approx(2.0)
+
+
 def test_no_homogenizer():
     # identical functionals with inconsistent data cannot be matched
     with pytest.raises(NoHomogenizer):
         homogenize_1d(make_dirichlet(0.5, 1), make_dirichlet(0.5, 2), FLOAT64)
+
+
+def _term_by_term_weights(l1, l2, powers, ctx):
+    """The inverse of the ansatz's 2x2 system at ``powers`` from rows
+    formed term by term, in ``_ansatz_weights``' formula."""
+    (s11, s12), (s21, s22) = [
+        [functional_on_monomial(l, k, ctx) for k in powers] for l in (l1, l2)
+    ]
+    det = s11 * s22 - s12 * s21
+    return (s22 / det, -s12 / det), (-s21 / det, s11 / det)
+
+
+@pytest.mark.parametrize("ident", ["ex1", "ex2", "ex3", "ex4", "ex5", "ex6", "ex7"])
+def test_ansatz_rows_of_the_benchmarks_equal_the_term_by_term_sum(ident):
+    """The ansatz rows, each functional applied to the monomials by
+    ``BoundaryFunctional.apply``, give the weights that rows formed term
+    by term give, bit for bit, for every pair of the examples."""
+    ctx = Precision("mp", 150)
+    problem = get_example(ident).make(ctx)
+    for low, high in problem.bcs:
+        l1, l2 = low.functional, high.functional
+        powers, w = _ansatz_weights(l1, l2, ctx)
+        assert w == _term_by_term_weights(l1, l2, powers, ctx)
+
+
+_DYADIC = st.integers(-16, 16).map(lambda i: i / 8)
+_COEFF = st.floats(-2, 2).filter(bool)
+
+
+@st.composite
+def _dyadic_functional(draw):
+    """Any kind of functional at locations that are multiples of 1/8 in
+    [-2, 2], with float coefficients: k x^(k-1) is exact there, so the
+    apply form c (k x^(k-1)) and the term-by-term form (c k) x^(k-1) round
+    the same product."""
+    kind = draw(st.sampled_from(["dirichlet", "neumann", "robin", "multipoint"]))
+    a = draw(_DYADIC)
+    if kind == "dirichlet":
+        return make_dirichlet(a, 0, MP40)
+    if kind == "neumann":
+        return make_neumann(a, 0, MP40)
+    if kind == "robin":
+        alpha, beta = draw(st.floats(-2, 2)), draw(st.floats(-2, 2))
+        assume(alpha or beta)
+        return make_robin(alpha, beta, a, 0, MP40)
+    xis = draw(st.lists(_DYADIC.filter(lambda x: x > a), min_size=1, max_size=3,
+                        unique=True))
+    return make_multipoint(a, [(draw(_COEFF), xi) for xi in sorted(xis)], 0, MP40)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(l1=_dyadic_functional(), l2=_dyadic_functional())
+def test_ansatz_rows_equal_the_term_by_term_sum(l1, l2):
+    try:
+        powers, w = _ansatz_weights(l1, l2, MP40)
+    except NoHomogenizer:
+        assume(False)
+    assert w == _term_by_term_weights(l1, l2, powers, MP40)
+
+
+def _scaled(s, value):
+    return MP40.num(s) * MP40.num(value)
+
+
+_SCALED_PAIRS = [
+    *[pytest.param(make_robin(0, b, 0, _scaled(b, "0.75"), MP40),
+                   make_dirichlet(1, "-1.25", MP40), id=f"neumann-times-{b}")
+      for b in ("1e-30", "1e-36", "1e-60")],
+    *[pytest.param(make_robin(s, 0, 0, _scaled(s, "0.75"), MP40),
+                   make_robin(s, 0, 1, _scaled(s, "-1.25"), MP40),
+                   id=f"dirichlet-pair-times-{s}")
+      for s in ("1e-30", "1e-36", "1e30")],
+    pytest.param(make_dirichlet(0, "0.75", MP40), make_dirichlet("1e-40", "-1.25", MP40),
+                 id="dirichlet-pair-1e-40-apart"),
+]
+
+
+@pytest.mark.parametrize("l1, l2", _SCALED_PAIRS)
+def test_ansatz_accepts_a_pair_at_any_scale(l1, l2):
+    """A pair is judged on rows scaled to unit size, with no floor: a
+    Neumann condition at 0 scaled by s beside a Dirichlet one at 1, a
+    Dirichlet pair scaled by s, or a Dirichlet pair 1e-40 apart is
+    matched, and the map reproduces each datum to 10^(5-D) relative."""
+    m = homogenize_1d(l1, l2, MP40)
+    for L in (l1, l2):
+        assert abs(apply_functional(L, 0, m) - L.rhs) <= MP40.tol(5) * abs(L.rhs)
+
+
+@pytest.mark.parametrize("s", ["1e-30", "1", "1e30"])
+def test_same_point_dirichlet_pair_has_no_homogenizer_at_any_scale(s):
+    with pytest.raises(NoHomogenizer):
+        homogenize_1d(
+            make_robin(s, 0, "0.5", 1, MP40), make_robin(s, 0, "0.5", 2, MP40), MP40
+        )
+
+
+def test_float64_pair_whose_determinant_underflows_has_no_homogenizer():
+    """Scaled to unit size the pair is regular, but in binary64 its
+    determinant, 1e-340, underflows to 0: no weights exist to divide by."""
+    with pytest.raises(NoHomogenizer):
+        homogenize_1d(make_robin(1e-170, 0, 0), make_robin(1e-170, 0, 1), FLOAT64)
 
 
 def test_2d_dirichlet_all_zero():

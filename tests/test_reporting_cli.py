@@ -141,6 +141,25 @@ def test_run_example_records_numerical_failure():
     assert "nan" in row
 
 
+_EX6_COLLISION = (
+    "NodeCollision: node 1.2 collides with functional support 1.2 in "
+    "direction 1; perturb the count or switch grid scheme"
+)
+
+
+def test_ex6_12x24_uniform_interior_nodes_collide(capsys):
+    """On 24 uniform interior nodes along y, one lands on the multipoint
+    condition's support at y = 1.2: the run fails, recorded by name, and
+    the CLI exits 3 with the message on stderr."""
+    rep = run_example("ex6", "constrained", (12, 24), 0.01, Precision("mp", 30))
+    assert rep.status == "failed"
+    assert rep.message == _EX6_COLLISION
+    code = main(["solve", "--example", "ex6", "--n", "12x24", "--shape", "0.01",
+                 "--precision", "mp:30"])
+    assert code == 3
+    assert _EX6_COLLISION in capsys.readouterr().err
+
+
 def test_run_sweep_single_step_matches_run_example():
     sweep = run_sweep("ex1", "constrained", (8,), 0.8, 0.8, 1, MP60, eps=0.5)
     single = run_example("ex1", "constrained", (8,), 0.8, MP60, eps=0.5)
