@@ -37,7 +37,7 @@ import mpmath
 
 from .errors import DegenerateConstraint
 from .functionals import KernelTrace
-from .numerics import CorrectedMatrix, corrected_entry, correction_scales
+from .numerics import CorrectedMatrix, corrected_entry, correction_scales, extend_row
 
 
 class ConstrainedKernel:
@@ -74,13 +74,16 @@ class ConstrainedKernel:
 
     def partial_matrix(self, m, xs, nodes, uniform):
         """d^m/dx^m of the kernel over xs x nodes: the base kernel's rows
-        beside the correction traces d^m phi_k(x), with phi_k at the nodes
-        and the denominators, as a CorrectedMatrix."""
-        rows = self.base.partial_matrix(m, xs, nodes, uniform)
+        with the correction traces d^m phi_k(x) appended, rows of [B | P]
+        in the base's form, with phi_k at the nodes and the denominators,
+        as a CorrectedMatrix."""
         traces = self.traces
+        rows = self.base.partial_matrix(m, xs, nodes, uniform)
+        for row, x in zip(rows, xs):
+            extend_row(row, [t.deriv(x, m) for t in traces])
         return CorrectedMatrix(
             self.ctx,
-            [row + [t.deriv(x, m) for t in traces] for row, x in zip(rows, xs)],
+            rows,
             [[t.deriv(y, 0) for y in nodes] for t in traces],
             self.gammas,
         )
@@ -95,13 +98,18 @@ def impose(kernel, functional):
 
     ``kernel`` may be a base kernel or an already-constrained one.  The
     denominator is gamma = L phi, the functional applied to its own trace
-    phi = L_y R.  Raises DegenerateConstraint when |gamma| falls below the
-    working-precision threshold: a vanishing denominator makes the
-    correction numerically meaningless before it is exactly zero.
+    phi = L_y R.  Raises DegenerateConstraint when |gamma| falls to the
+    working-precision threshold tol(5) times (sum_k |c_k|)^2, the size of
+    gamma's coefficients c_k c_j against kernel entries of size 1: a
+    vanishing denominator makes the correction numerically meaningless
+    before it is exactly zero.  Scaling the functional by s scales gamma
+    and the threshold alike by s^2, so it does not decide whether the
+    functional can be imposed.
     """
     trace = KernelTrace(kernel, functional)
     gamma = functional.apply(trace.deriv)
-    if abs(gamma) <= kernel.ctx.tol(5):
+    size = sum(abs(t.coeff) for t in functional.terms) ** 2
+    if abs(gamma) <= kernel.ctx.tol(5) * size:
         raise DegenerateConstraint(
             f"bilinear denominator {mpmath.nstr(gamma, 4)} is numerically zero "
             f"for {functional!r}",

@@ -25,7 +25,7 @@ from __future__ import annotations
 from .functionals import KernelTrace
 from .homogenize import HomogenizationMap
 from .kernels import GaussianKernel
-from .numerics import kron
+from .numerics import as_row, kron
 from .pseudospectral import (
     Solution,
     _all_tables,
@@ -63,7 +63,7 @@ def kansa_solve(problem, counts, shape, ctx):
         for side in (0, 1):
             functional = problem.bcs[d][side].functional
             trace = KernelTrace(kernels[d], functional)
-            face_vectors[(d, side)] = [trace(xj) for xj in grid.axes[d]]
+            face_vectors[(d, side)] = as_row(ctx, [trace(xj) for xj in grid.axes[d]])
 
     rows = []
     rhs = []

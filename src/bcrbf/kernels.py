@@ -12,19 +12,21 @@ denominator is the functional applied to that trace, so it reads no
 entry of its own.  Every kernel matrix -- the node tables of the
 constrained and Kansa systems, and the matrices that evaluate a
 solution -- comes from the third: d^m/dx^m R(x, y) over points xs and
-one axis's nodes, as a list of rows or as a ``numerics.CorrectedMatrix``
-for a constrained kernel.  ``uniform`` says that the nodes are equally
-spaced, as the grid builders know.  A kernel computes at the digits of
-its ``Precision`` and may be shared between threads (see ``numerics``).
+one axis's nodes, as rows (``numerics.Aligned`` rows in mp, lists of
+floats in float64) or, for a constrained kernel, as a
+``numerics.CorrectedMatrix`` of such rows.  ``uniform`` says that the
+nodes are equally spaced, as the grid builders know.  A kernel computes
+at the digits of its ``Precision`` and may be shared between threads
+(see ``numerics``).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from operator import sub
+from operator import attrgetter, sub
 
 from .errors import UnsupportedOrder
-from .numerics import FLOAT64, _round, _round_add
+from .numerics import FLOAT64, Aligned, _round, _round_add, as_row
 
 MAX_TOTAL_ORDER = 4
 
@@ -99,7 +101,8 @@ class GaussianKernel:
         return self._scaled(m, n, delta, self._gauss(delta))
 
     def partial_matrix(self, m, xs, nodes, uniform):
-        """Rows [d^m/dx^m R(x, y) for y in nodes] for x in xs.
+        """Rows [d^m/dx^m R(x, y) for y in nodes] for x in xs: lists of
+        floats in float64, ``numerics.Aligned`` rows in mp.
 
         On equally spaced nodes in mp, the Gaussians of a row come from
         ``_uniform_rows``: two exps per row instead of one per entry.
@@ -108,22 +111,24 @@ class GaussianKernel:
         n^2 entries share far fewer offsets.
         """
         _check_orders(m, 0)
-        if uniform and self.ctx.mode == "mp":
+        ctx = self.ctx
+        if uniform and ctx.mode == "mp":
             gauss = self._uniform_rows(xs, nodes)
             if m == 0:
                 return gauss
             return [
-                [self._scaled(m, 0, x - y, e) for y, e in zip(nodes, row)]
+                as_row(ctx, [self._scaled(m, 0, x - y, e) for y, e in zip(nodes, row.numbers())])
                 for x, row in zip(xs, gauss)
             ]
-        if self.ctx.mode == "mp":
+        if ctx.mode == "mp":
             # an offset's raw tuple is canonical: it keys the offset as its
-            # value does, and hashes as a tuple
-            mp = self.ctx.mp
+            # value does, and hashes as a tuple; entries are kept raw
+            mp = ctx.mp
             offset, number = partial(_round_add, prec=mp.prec, minus=1), mp.make_mpf
+            keep, make_row = attrgetter("_mpf_"), partial(Aligned, mp=mp)
             xs, nodes = [x._mpf_ for x in xs], [y._mpf_ for y in nodes]
         else:
-            offset, number = sub, float
+            offset, number, keep, make_row = sub, float, float, list
         values = {}
         rows = []
         for x in xs:
@@ -133,9 +138,9 @@ class GaussianKernel:
                 v = values.get(key)
                 if v is None:
                     d = number(key)
-                    v = values[key] = self._scaled(m, 0, d, self._gauss(d))
+                    v = values[key] = keep(self._scaled(m, 0, d, self._gauss(d)))
                 row.append(v)
-            rows.append(row)
+            rows.append(make_row(row))
         return rows
 
     def _uniform_rows(self, xs, nodes):
@@ -150,7 +155,7 @@ class GaussianKernel:
         rounded to the kernel's digits: within a unit in the last place
         of exp.  The recurrence steps on integer mantissas and exponents,
         each product rounded at the work digits by ``numerics._round``,
-        which also rounds each entry.
+        which also rounds each entry into an ``Aligned`` row.
         """
         ctx, n = self.ctx, len(nodes)
         digits = ctx.digits + 5 + 2 * len(str(n))
@@ -160,7 +165,6 @@ class GaussianKernel:
         c2 = work.convert(self.c) ** 2
         q = work.exp(-2 * c2 * h * h)
         wprec, prec = work.prec, ctx.mp.prec
-        make = ctx.mp.make_mpf
         _, qm, qe, _ = q._mpf_
         rows = []
         for x in xs:
@@ -169,10 +173,10 @@ class GaussianKernel:
             _, rm, re, _ = work.exp(c2 * h * (2 * t - h))._mpf_
             row = []
             for _ in range(n):
-                row.append(make(_round(gm, ge, prec)))
+                row.append(_round(gm, ge, prec))
                 _, gm, ge, _ = _round(gm * rm, ge + re, wprec)
                 _, rm, re, _ = _round(rm * qm, re + qe, wprec)
-            rows.append(row)
+            rows.append(Aligned(row, ctx.mp))
         return rows
 
     def __repr__(self):

@@ -14,43 +14,59 @@ two contexts meet, an operation rounds at the context of its left operand
 (or of the mpmath function called), so code that mixes digit counts
 converts on entry.
 
+Every mp matrix that a solve or an evaluation builds entry by entry --
+the node tables, A and A_L, Kansa's collocation matrix, the operational
+matrix L and the kernel rows at evaluation points -- is a list of
+``Aligned`` rows: integer mantissas aligned at one exponent per row, with
+the row's mpmath context, where a number object per entry takes about
+three times the memory.  An assembled row is a Kronecker product of
+table rows (``kron``), scaled and summed over an operator's terms
+(``scale_row``, ``add_rows``), each product and sum rounded on raw
+mantissas as the numbers' arithmetic rounds it.  The LU keeps its
+factors as ``Aligned`` vectors too.  float64 matrices are lists of lists
+of floats.  Every mp matrix is read as ``Aligned`` rows -- by the LU, the
+norms, ``refine`` and ``mode_sum`` -- and one given as lists of numbers
+is aligned on entry, exactly.
+
 Every exact mp sum -- the LU's Crout dots and triangular solves, the
 refinement residuals, the mode products and sums, the correction
 coefficients, the corrected kernel entries and the homogenization map's
-trace sums -- is one kernel, ``dot``.  It forms each product exactly from
-the raw mantissas and exponents of its operands, at whatever digits they
-carry, and is bit-identical to mpmath's ``fdot`` on the same operands by
-one rule: when the products' exponents span at most 2 * prec bits,
-``mpf_sum`` provably keeps every term, so their exact sum is rounded once
-at the digits of the context; a wider span is left to ``fdot`` itself.
-It takes two operand forms.  Sequences of numbers are summed term by
-term, at about 60% of ``fdot``'s cost per term at 100-150 digits.
-``Aligned`` vectors, stored once as integer mantissas at one exponent,
-are summed by one C-level multiply-sum: the LU keeps its factors in that
-form, and its sweep and solves read them there.
+trace sums -- follows one rule, ``dot``'s.  Each product is formed
+exactly from the raw mantissas and exponents of its operands, at
+whatever digits they carry, and the sum is bit-identical to mpmath's
+``fdot`` on the same operands: when the products' exponents span at most
+2 * prec bits, ``mpf_sum`` provably keeps every term, so their exact sum
+is rounded once at the digits of the context; a wider span is left to
+``mpf_sum`` of the exact products, as ``fdot`` sums them.  Over
+``Aligned`` vectors (``_dot_aligned``) a sum is one C-level multiply-sum
+of integers per pair of vectors, the pairs added exactly: the LU's
+dots, the residuals and images of ``refine``, and every contraction of
+``mode_sum``.  Sequences of numbers are summed term by term: the
+correction coefficients, a kernel entry formed by ``mixed_partial`` and
+the homogenization map's coefficients.
 
 Every rounding of a raw mantissa here -- those exact sums, the LU's and
-the solves' subtractions and divisions, the 1-norm, and the kernel
-tables' offsets and Gaussian rows -- goes through one routine,
-``_round``, and its raw add and divide.  It assumes round-to-nearest,
-the rounding of every context here: a correctly rounded result is
-unique, so it is mpmath's bit for bit, and it counts bits with
-``int.bit_length`` where the pure-Python backend calls ``bitcount``.
+the solves' subtractions and divisions, the norms, the products and sums
+of assembled rows, and the kernel tables' offsets and Gaussian rows --
+goes through one routine, ``_round``, and its raw add and divide.  It
+assumes round-to-nearest, the rounding of every context here: a
+correctly rounded result is unique, so it is mpmath's bit for bit, and
+it counts bits with ``int.bit_length`` where the pure-Python backend
+calls ``bitcount``.
 
 mp digit counts differ inside a computation where a D-digit answer needs
 wider intermediates: ``refine`` factors at D plus guard digits and
 carries residuals and the refined solution at more digits still, then
-the caller rounds the result back to D; a ``CorrectedMatrix`` carries its
-correction coefficients, and a corrected kernel entry its scaled right
-factors, at D + 10 digits; and ``kernels.GaussianKernel`` runs its row
-recurrence with guard digits.
+the caller rounds the result back to D; a ``CorrectedMatrix``
+carries its correction coefficients, and a corrected kernel entry its
+scaled right factors, at D + 10 digits; and ``kernels.GaussianKernel``
+runs its row recurrence with guard digits.
 
-Matrices are row-major lists of lists of scalars of one mode.  Contexts
-are never changed after they are made, so computations may run in
-concurrent threads, at equal or different digits.  Context-bound numbers
-do not pickle, but a ``Precision`` does, as its (mode, dps): processes
-exchange those, as ``reporting.run_sweep`` with ``jobs > 1`` does, and
-each rebuilds its own context.  Elimination order is
+Contexts are never changed after they are made, so computations may run
+in concurrent threads, at equal or different digits.  Context-bound
+numbers do not pickle, but a ``Precision`` does, as its (mode, dps):
+processes exchange those, as ``reporting.run_sweep`` with ``jobs > 1``
+does, and each rebuilds its own context.  Elimination order is
 deterministic, so results are bit-reproducible per precision mode.
 """
 
@@ -58,10 +74,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul, neg, sub, truediv
+from operator import itemgetter, mul, neg, sub, truediv
 
 import mpmath
-from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_div, mpf_neg, mpf_sum, round_nearest
+from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_neg, mpf_sum, round_nearest
 
 from .errors import SingularMatrix
 
@@ -301,81 +317,124 @@ def _abs_gt(x, y):
     return xm > ym << (ye - xe)
 
 
-def max_abs(a):
-    """The largest |entry|, of the first entry of largest magnitude.  mp
-    entries are compared exactly on their raw ``_mpf_`` tuples."""
-    best = a[0][0]
-    if not hasattr(best, "_mpf_"):
-        return max(abs(v) for row in a for v in row)
-    top = best._mpf_
+def _mp_rows(a):
+    """The rows of an mp matrix as ``Aligned`` rows, a row given as numbers
+    aligned exactly with its first entry's context; None when ``a`` is a
+    float64 matrix (its first entry a plain number)."""
+    rows = []
     for row in a:
-        for v in row:
-            if _abs_gt(v._mpf_, top):
-                best, top = v, v._mpf_
-    return abs(best)
+        if type(row) is not Aligned:
+            mp = getattr(row[0], "context", None)
+            if mp is None:
+                return None
+            row = Aligned([mp.convert(v)._mpf_ for v in row], mp)
+        rows.append(row)
+    return rows
+
+
+def max_abs(a):
+    """The largest |entry|, of the first entry of largest magnitude.  An mp
+    row is compared exactly by its largest integer, and the entry is
+    returned at its row's context."""
+    rows = _mp_rows(a)
+    if rows is None:
+        return max(abs(v) for row in a for v in row)
+    best, mp = fzero, rows[0].mp
+    for row in rows:
+        if row.lo is not None:
+            top = _round(max(map(abs, row.ints)), row.lo)
+            if _abs_gt(top, best):
+                best, mp = top, row.mp
+    return mp.make_mpf(_round(best[1], best[2], mp.prec))
+
+
+def _abs_sum(terms, prec):
+    """sum(abs(v) for v in ...) of (integer, exponent, prec) terms: each
+    |v| rounded at its own prec, each partial sum at ``prec``, from 0, as
+    Python's ``sum`` adds numbers.  A zero term changes no partial sum."""
+    total = fzero
+    for v, exp, own in terms:
+        if v:
+            total = _round_add(total, _round(abs(v), exp, own), prec)
+    return total
 
 
 def norm_inf(a):
-    """Max row sum; for a vector given as list of scalars, max abs entry."""
-    if a and isinstance(a[0], list):
+    """Max row sum of |a_ij|, the first if several, each row summed as
+    ``norm_1`` sums a column; for a vector given as list of scalars, max
+    abs entry."""
+    if not isinstance(a[0], (list, Aligned)):
+        return max(abs(v) for v in a)
+    rows = _mp_rows(a)
+    if rows is None:
         return max(sum(abs(v) for v in row) for row in a)
-    return max(abs(v) for v in a)
+    best = None
+    for row in rows:
+        prec = row.mp.prec
+        total = _abs_sum(((v, row.lo, prec) for v in row.ints), prec)
+        if best is None or _abs_gt(total, best):
+            best, mp = total, row.mp
+    return mp.make_mpf(best)
 
 
 def norm_1(a):
     """The largest column sum of |a_ij|, the first if several.  A column is
-    summed down its rows as ``sum`` sums it: in mp each |a_ij| is rounded
-    at the digits of its own context and each partial sum at those of the
-    column's first entry, on raw ``_mpf_`` tuples."""
-    if not hasattr(a[0][0], "_mpf_"):
+    summed down its rows as ``sum`` sums numbers: in mp each |a_ij| is
+    rounded at the digits of its row's context and each partial sum at
+    those of the first row's, on the rows' integers."""
+    rows = _mp_rows(a)
+    if rows is None:
         return max(sum(abs(row[j]) for row in a) for j in range(len(a[0])))
+    scales = [(row.lo, row.mp.prec) for row in rows]
+    mp = rows[0].mp
     best = None
-    for col in zip(*a):
-        prec = col[0].context.prec
-        total = fzero
-        for v in col:
-            raw = v._mpf_
-            size = _round(raw[1], raw[2], v.context.prec) if raw[1] else mpf_abs(raw)
-            total = _round_add(total, size, prec)
+    for col in zip(*(row.ints for row in rows)):
+        total = _abs_sum(((v, lo, own) for v, (lo, own) in zip(col, scales)), mp.prec)
         if best is None or _abs_gt(total, best):
-            best, context = total, col[0].context
-    return context.make_mpf(best)
+            best = total
+    return mp.make_mpf(best)
 
 
 def check_finite(a, what="matrix"):
-    """Raise ValueError on an infinite or nan entry.  An mp entry is read as
-    its raw ``_mpf_``: it is special when its mantissa is 0 and its
-    exponent is not."""
+    """Raise ValueError on an infinite or nan entry.  An ``Aligned`` row is
+    finite by construction."""
     for row in a:
-        for v in row:
-            try:
-                _, man, exp, _ = v._mpf_
-                finite = man or not exp
-            except AttributeError:
-                finite = mpmath.isfinite(v)
-            if not finite:
-                raise ValueError(f"non-finite entry in {what}")
+        if type(row) is not Aligned and not all(map(mpmath.isfinite, row)):
+            raise ValueError(f"non-finite entry in {what}")
 
 
 class Aligned:
-    """A vector of mp numbers stored once for many ``dot`` products.
+    """A vector of mp numbers stored once for many ``dot`` products, and
+    the row of every mp matrix.
 
     Entry i is ``ints[i] * 2**lo``: a signed integer mantissa aligned at
     ``lo``, the lowest exponent of the nonzero entries' raw ``_mpf_``;
     ``hi`` is the highest (both None while no entry is nonzero).  It is
     built from raw tuples of any digits, and grows at either end
     (``append``, ``insert(0, raw)``): an entry below ``lo`` shifts the
-    others up once.  Every entry is finite.
+    others up once.  Every entry is finite.  Indexing and iteration give
+    raw tuples.
+
+    ``mp`` is the mpmath context of a matrix row: the context whose
+    numbers the entries would be, so that a sum or norm over the row
+    rounds where the numbers' arithmetic would, and ``numbers()`` makes
+    them.  The LU's own vectors have none.
     """
 
-    __slots__ = ("ints", "lo", "hi")
+    __slots__ = ("ints", "lo", "hi", "mp")
 
-    def __init__(self, raws=()):
+    def __init__(self, raws=(), mp=None):
         raws = list(raws)
         exps = [exp for _, man, exp, _ in raws if man]
-        self.lo = min(exps) if exps else None
+        if len(exps) < len(raws) and any(exp for _, man, exp, _ in raws if not man):
+            raise ValueError("non-finite entry in an aligned vector")
+        lo = self.lo = min(exps) if exps else None
         self.hi = max(exps) if exps else None
-        self.ints = [self._int(raw) for raw in raws]
+        self.ints = [
+            0 if not man else -(man << (exp - lo)) if sign else man << (exp - lo)
+            for sign, man, exp, _ in raws
+        ]
+        self.mp = mp
 
     def _int(self, raw):
         sign, man, exp, _ = raw
@@ -406,21 +465,81 @@ class Aligned:
     def insert(self, i, raw):
         self.ints.insert(i, self._admit(raw))
 
+    def extend(self, raws):
+        """Append raw tuples, shifting the others up at most once."""
+        raws = list(raws)
+        nonzero = [raw for raw in raws if raw[1]]
+        if nonzero:
+            self._admit(min(nonzero, key=itemgetter(2)))
+        self.ints.extend(map(self._admit, raws))
+
+    def __len__(self):
+        return len(self.ints)
+
     def __getitem__(self, i):
         """Entry i as a raw ``_mpf_`` tuple."""
         return _round(self.ints[i], self.lo or 0)
 
+    def __iter__(self):
+        lo = self.lo or 0
+        return (_round(v, lo) for v in self.ints)
 
-def _dot_aligned(us, vs, prec):
-    """The raw sum of us[i] * vs[i] over two ``Aligned`` vectors, rounded
-    once at ``prec`` bits, bit-identical to ``fdot`` (see ``dot``)."""
-    if us.lo is None or vs.lo is None:
+    def numbers(self):
+        """The entries as numbers of ``mp``, exactly."""
+        make = self.mp.make_mpf
+        return [make(raw) for raw in self]
+
+
+_ONE = Aligned([(0, 1, 0, 1)])  # the vector [1]
+
+
+def as_row(ctx, values):
+    """``values`` as a matrix row of ``ctx``: a list in float64, and in mp
+    an ``Aligned`` row of their exact values."""
+    if ctx.mode != "mp":
+        return list(values)
+    convert = ctx.mp.convert
+    return Aligned([convert(v)._mpf_ for v in values], ctx.mp)
+
+
+def _aligned_rows(ctx, a):
+    """The mp matrix ``a`` as ``Aligned`` rows: a row given as numbers is
+    aligned exactly (``as_row``), an ``Aligned`` row is kept."""
+    return [row if type(row) is Aligned else as_row(ctx, row) for row in a]
+
+
+def extend_row(row, values):
+    """Append the numbers ``values`` to a matrix row, in place, in its
+    form: to an ``Aligned`` row exactly, as raw tuples."""
+    if type(row) is Aligned:
+        row.extend(row.mp.convert(v)._mpf_ for v in values)
+    else:
+        row.extend(values)
+
+
+def _dot_aligned(pairs, prec):
+    """The raw sum of us[i] * vs[i] over pairs (us, vs) of ``Aligned``
+    vectors, rounded once at ``prec`` bits: bit-identical to ``fdot`` of
+    the pairs' vectors concatenated (see ``dot``).  Each pair is one
+    multiply-sum of its integers, and the pairs' sums are added exactly;
+    the window is bounded by the pairs' ``lo`` and ``hi`` before any sum
+    is taken."""
+    live, lo, hi = [], None, None
+    for us, vs in pairs:
+        if us.lo is None or vs.lo is None:
+            continue  # only zero products
+        exp, top = us.lo + vs.lo, us.hi + vs.hi
+        live.append((us.ints, vs.ints, exp))
+        if lo is None:
+            lo, hi = exp, top
+        else:
+            lo, hi = min(lo, exp), max(hi, top)
+    if lo is None:
         return fzero
-    exp = us.lo + vs.lo
-    products = map(mul, us.ints, vs.ints)
-    if us.hi + vs.hi - exp <= 2 * prec:
-        return _round(sum(products), exp, prec)
-    return mpf_sum([_round(p, exp) for p in products], prec, round_nearest)
+    if hi - lo <= 2 * prec:
+        return _round(sum(sum(map(mul, u, v)) << (exp - lo) for u, v, exp in live), lo, prec)
+    return mpf_sum([_round(p, exp) for u, v, exp in live for p in map(mul, u, v)],
+                   prec, round_nearest)
 
 
 def dot(ctx, us, vs):
@@ -456,7 +575,7 @@ def dot(ctx, us, vs):
     mp = ctx.mp
     prec = mp.prec
     if type(us) is Aligned:
-        return mp.make_mpf(_dot_aligned(us, vs, prec))
+        return mp.make_mpf(_dot_aligned(((us, vs),), prec))
     if not isinstance(us, (list, tuple)):
         us = list(us)
     if not isinstance(vs, (list, tuple)):
@@ -519,8 +638,10 @@ def corrected_entry(ctx, b, ps, ss):
 class CorrectedMatrix:
     """The m x n matrix B - P diag(gamma)^-1 Q^T, B minus r rank-one
     corrections, kept as its factors: ``rows`` are the m rows of [B | P]
-    (n + r entries each), ``right`` the r rows of Q^T and ``gammas`` the
-    r denominators, all at the digits of ``ctx``.
+    (n + r entries each; ``Aligned`` rows in mp, as the base kernel's
+    ``partial_matrix`` gives them, with P appended), ``right`` the r rows
+    of Q^T as numbers and ``gammas`` the r denominators, all at the
+    digits of ``ctx``.
 
     ``extend(x)`` appends to a length-n vector x the r coefficients
     c_k = -(Q^T x)_k / gamma_k, so that row i of [B | P] dotted with
@@ -550,30 +671,92 @@ class CorrectedMatrix:
         return [*x, *coeffs]
 
     def dense(self):
-        """The matrix entry by entry.  The scaled right factors
-        s_kj = -(Q_kj / gamma_k) are formed once per node, and entry ij is
-        ``corrected_entry``: B_ij + sum_k P_ik s_kj, summed exactly and
-        rounded once, as ``ConstrainedKernel.mixed_partial`` forms it."""
+        """The matrix entry by entry, in the form of ``rows``.  The scaled
+        right factors s_kj = -(Q_kj / gamma_k) are formed once per node,
+        and entry ij is ``corrected_entry``: B_ij + sum_k P_ik s_kj, summed
+        exactly and rounded once, as ``ConstrainedKernel.mixed_partial``
+        forms it.  In mp it is one multiply-sum of the integers of row i of
+        [B | P] and of [1, s_1j, ..., s_rj], aligned once per node, when
+        their exponents bound its window within 2 * prec (see ``dot``),
+        and else ``_dot_aligned`` of the entry's own terms."""
         ctx = self.ctx
         n = len(self.right[0])
         scales = [correction_scales(ctx, qs, self.gammas) for qs in zip(*self.right)]
+        if ctx.mode != "mp":
+            out = []
+            for row in self.rows:
+                ps = row[n:]
+                out.append([corrected_entry(ctx, b, ps, ss) for b, ss in zip(row, scales)])
+            return out
+        mp = ctx.mp
+        prec = mp.prec
+        factors = [Aligned([_ONE[0], *(s._mpf_ for s in ss)]) for ss in scales]
         out = []
         for row in self.rows:
-            ps = row[n:]
-            out.append([corrected_entry(ctx, b, ps, ss) for b, ss in zip(row, scales)])
+            lo, hi, ps = row.lo or 0, row.hi or 0, row.ints[n:]
+            entries = []
+            for b, f in zip(row.ints, factors):
+                if hi + f.hi - lo - f.lo <= 2 * prec:
+                    entries.append(_round(sum(map(mul, (b, *ps), f.ints)), lo + f.lo, prec))
+                else:  # the entry's own exponents bound its window closer
+                    own = Aligned([_round(v, lo) for v in (b, *ps)])
+                    entries.append(_dot_aligned(((own, f),), prec))
+            out.append(Aligned(entries, mp))
         return out
 
 
 def kron(vectors):
     """The Kronecker product of vectors, in flat order (last fastest):
     entry j is prod_d vectors[d][j_d], multiplied in axis order from the
-    first vector's entry on.  No vectors give [1]."""
+    first vector's entry on.  No vectors give [1].
+
+    ``Aligned`` rows give an ``Aligned`` row, each product of integers
+    rounded as the numbers' product rounds, at the first row's context;
+    a single row is returned as it is.  Vectors of numbers -- float64
+    rows, and a separable field's values (``fields.ProductField``) --
+    give a list, multiplied by the numbers' own arithmetic."""
     if not vectors:
         return [1]
-    out = list(vectors[0])
+    out = vectors[0]
+    if type(out) is not Aligned:
+        out = list(out)
+        for vec in vectors[1:]:
+            out = [u * v for u in out for v in vec]
+        return out
+    mp = out.mp
     for vec in vectors[1:]:
-        out = [u * v for u in out for v in vec]
+        exp = (out.lo or 0) + (vec.lo or 0)
+        out = Aligned([_round(u * v, exp, mp.prec) for u in out.ints for v in vec.ints], mp)
     return out
+
+
+def scale_row(c, row):
+    """[c * e for e in row], each product rounded as the numbers' product
+    rounds: at c's context when c is an mp number, else at the row's."""
+    if type(row) is not Aligned:
+        return [c * e for e in row]
+    mp = getattr(c, "context", row.mp)
+    sign, man, exp, _ = row.mp.convert(c)._mpf_
+    if not man and exp:
+        raise ValueError(f"non-finite coefficient {c}")
+    if sign:
+        man = -man
+    exp += row.lo or 0
+    return Aligned([_round(man * v, exp, mp.prec) for v in row.ints], mp)
+
+
+def add_rows(us, vs):
+    """[u + v for u, v in zip(us, vs)], each sum rounded as the numbers'
+    sum rounds, at the context of us: on ``Aligned`` rows, the exact sum
+    of the integers, rounded once."""
+    if type(us) is not Aligned:
+        return [u + v for u, v in zip(us, vs)]
+    lo = min((r.lo for r in (us, vs) if r.lo is not None), default=0)
+    du = 0 if us.lo is None else us.lo - lo
+    dv = 0 if vs.lo is None else vs.lo - lo
+    prec = us.mp.prec
+    sums = [_round((u << du) + (v << dv), lo, prec) for u, v in zip(us.ints, vs.ints)]
+    return Aligned(sums, us.mp)
 
 
 def _fibers(vals, shape, e):
@@ -596,15 +779,21 @@ def _contract(ctx, plan, total):
     of ``_fibers``, with ``inner`` entries in the axes after it.  Output j
     takes, from each term, row q % m and fiber q // m * inner + r, for
     q, r = divmod(j, inner), and is one ``dot`` of the rows and the fibers
-    concatenated over the plan, rounded once."""
+    concatenated over the plan, rounded once.  In mp, rows and fibers are
+    ``Aligned``, and that dot is one multiply-sum of integers per term,
+    the terms added exactly (``_dot_aligned``)."""
+    mp = ctx.mp
     out = []
     for j in range(total):
-        us, vs = [], []
+        pairs = []
         for rows, fibers, inner, m in plan:
             q, r = divmod(j, inner)
-            us += rows[q % m]
-            vs += fibers[q // m * inner + r]
-        out.append(dot(ctx, us, vs))
+            pairs.append((rows[q % m], fibers[q // m * inner + r]))
+        if mp is None:
+            out.append(dot(ctx, [u for us, _ in pairs for u in us],
+                           [v for _, vs in pairs for v in vs]))
+        else:
+            out.append(mp.make_mpf(_dot_aligned(pairs, mp.prec)))
     return out
 
 
@@ -615,8 +804,9 @@ def mode_sum(ctx, parts, shape):
 
     A part (vals, n, mats) is the n_0 x ... x n_{d-1} array ``vals`` in
     flat order and, per axis e, an m_e x n_e matrix (m_e = shape[e]) given
-    as a list of rows or as a CorrectedMatrix, or None where the axis is
-    left as it is (there n_e = shape[e]).  It has at least one matrix.
+    as rows or as a CorrectedMatrix, or None where the axis is left as it
+    is (there n_e = shape[e]).  It has at least one matrix.  In mp, rows
+    given as lists of numbers, and every fiber, are aligned on entry.
     The part is contracted along its matrix axes in order, each but the
     last one, a, by ``_contract`` with one dot per output entry.  The
     contractions along a are then folded, for all parts together, into a
@@ -652,6 +842,9 @@ def mode_sum(ctx, parts, shape):
                 else:
                     fibers = [rows.extend(f) for f in fibers]
                     rows = rows.rows
+            if ctx.mode == "mp":
+                rows = _aligned_rows(ctx, rows)
+                fibers = [as_row(ctx, f) for f in fibers]
             size[e] = len(rows)
             term = (rows, fibers, math.prod(size[e + 1:]), size[e])
             if e == axes[-1]:
@@ -674,6 +867,10 @@ class _FloatOps:
     sub, div, neg = sub, truediv, neg
 
     @staticmethod
+    def rows(ctx, a):
+        return [list(row) for row in a]
+
+    @staticmethod
     def dot(us, vs):
         return sum(map(mul, us, vs))
 
@@ -687,6 +884,7 @@ class _MpOps:
     at the digits of one context, and ``Aligned`` vectors."""
 
     vector = Aligned
+    rows = staticmethod(_aligned_rows)  # read in place, a raw tuple at a time
     neg = staticmethod(mpf_neg)
     bigger = staticmethod(_abs_gt)
 
@@ -695,7 +893,7 @@ class _MpOps:
         self.prec = mp.prec
 
     def dot(self, us, vs):
-        return _dot_aligned(us, vs, self.prec)
+        return _dot_aligned(((us, vs),), self.prec)
 
     def sub(self, x, y):
         return _round_add(x, y, self.prec, 1)
@@ -705,6 +903,8 @@ class _MpOps:
 
     def scalars(self, vs):
         """Raw tuples of ``vs``, each taken exactly."""
+        if type(vs) is Aligned:
+            return list(vs)
         convert = self.mp.convert
         return [convert(v)._mpf_ for v in vs]
 
@@ -756,7 +956,7 @@ class LUFactorization:
         vector, dot, sub, div, bigger = ops.vector, ops.dot, ops.sub, ops.div, ops.bigger
         tol_pivot = ctx.pivot_tol(max_abs(a))
         (tol,) = ops.scalars([tol_pivot])
-        rows = [ops.scalars(row) for row in a]
+        rows = ops.rows(ctx, a)
         lrows = [vector() for _ in range(n)]  # L[i][:k], swapped with A's rows
         ucols = [vector() for _ in range(n)]  # U[:k][j]
         urows, pivots, swaps = [], [], []
@@ -790,7 +990,7 @@ class LUFactorization:
             if k:
                 urow = [sub(row[j], dot(lrow, ucols[j])) for j in range(k + 1, n)]
             else:
-                urow = row[1:]
+                urow = [row[j] for j in range(1, n)]
             for ucol, u in zip(ucols[k + 1:], urow):
                 ucol.append(u)
             urows.append(vector(urow))
@@ -917,24 +1117,31 @@ def _exactly(ctx, vs):
 
 
 def _affine_rows(ctx, a, x, c=None):
-    """``c + a x`` row by row at the digits of ``ctx`` (``a`` None is the
-    identity, and ``x`` is returned as it is when ``c`` is None too).
+    """``c + a x`` row by row at the digits of the mp ``ctx`` (``a`` None is
+    the identity, and ``x`` is returned as it is when ``c`` is None too).
 
     Each row is one ``dot`` of ``[c_i, *row]`` with ``[1, *x]``: every
     product is exact and the sum is rounded once, bit-identical to the
     context's ``fdot``, so a row that cancels down to a tiny residual
     keeps all of its leading digits.  The operands are read at their own
-    digits, whatever their context.
+    digits, whatever their context.  The rows of ``a`` are read as
+    ``Aligned`` rows (a row given as numbers is aligned exactly), x is
+    aligned once, and a row is one aligned multiply-sum plus the exact
+    term c_i (``_dot_aligned``).
     """
-    one = ctx.one
     if a is None:
         if c is None:
             return list(x)
+        one = ctx.one
         return [dot(ctx, (ci, xi), (one, one)) for ci, xi in zip(c, x)]
+    mp = ctx.mp
+    rows = _aligned_rows(ctx, a)
+    xs = as_row(ctx, x)
     if c is None:
-        return [dot(ctx, row, x) for row in a]
-    x = [one, *x]
-    return [dot(ctx, [ci, *row], x) for ci, row in zip(c, a)]
+        return [mp.make_mpf(_dot_aligned(((row, xs),), mp.prec)) for row in rows]
+    cs = [Aligned([mp.convert(ci)._mpf_]) for ci in c]
+    return [mp.make_mpf(_dot_aligned(((ci, _ONE), (row, xs)), mp.prec))
+            for ci, row in zip(cs, rows)]
 
 
 def refine(ctx, a, b, factor, guard=0, image=None, shift=None):

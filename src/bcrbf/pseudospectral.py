@@ -26,8 +26,10 @@ plain solve.
 A and A_L are assembled from per-axis node tables, each formed once by
 the kernel's ``partial_matrix``, and every row is a Kronecker product of
 table rows (``numerics.kron``), or a sum of them over the operator's
-terms.
-Kansa's baseline (``kansa``) builds its system the same way.
+terms.  Kansa's baseline (``kansa``) builds its system the same way.  In
+``mp`` every table and every assembled row is a ``numerics.Aligned``
+row, each product and sum rounded on raw mantissas as the numbers'
+arithmetic rounds it; in 1D, A's rows are the table's own.
 
 Boundary nodes are excluded by construction: with boundary-condition-
 satisfying kernels the basis functions vanish under every boundary
@@ -54,10 +56,13 @@ from .numerics import (
     REFINE_GUARD,
     CorrectedMatrix,
     LUFactorization,
+    add_rows,
+    as_row,
     kron,
     lu_factor,
     mode_sum,
     refine,
+    scale_row,
 )
 
 _COLLISION_RTOL = 1e-9
@@ -256,8 +261,8 @@ def build_grid(domain, counts, scheme, ctx, avoid=()):
 
 def _axis_tables(kernel, nodes, orders):
     """Per-axis matrices T[m][i][j] = d^m kernel(node_i, node_j), from
-    ``partial_matrix``; a CorrectedMatrix is made dense, one exact dot per
-    entry.
+    ``partial_matrix``, as its rows (``numerics.Aligned`` in mp); a
+    CorrectedMatrix is made dense, one exact dot per entry.
 
     The nodes are not marked uniform, so each table is the per-entry
     ``mixed_partial`` bit for bit.  It costs about as much as its distinct
@@ -296,20 +301,22 @@ def _operator_row(tables, terms, ii, p):
         c = t.coeff_at(p)
         prods = kron([tab[m][i] for tab, m, i in zip(tables, t.orders, ii)])
         if c != 1:
-            prods = [c * e for e in prods]
-        row = prods if row is None else [v + e for v, e in zip(row, prods)]
+            prods = scale_row(c, prods)
+        row = prods if row is None else add_rows(row, prods)
     return row
 
 
 def build_evaluation_matrix(grid, kernels, tables=None):
-    """A[i][j] = prod_d kernel_d(node_i_d, node_j_d); symmetric by construction."""
+    """A[i][j] = prod_d kernel_d(node_i_d, node_j_d); symmetric by
+    construction.  Rows are the tables' form (``numerics.kron``)."""
     if tables is None:
         tables = _all_tables(kernels, grid, None)
     return [kron([t[0][i] for t, i in zip(tables, ii)]) for ii in grid.indices()]
 
 
 def build_operator_matrix(grid, kernels, operator, tables=None):
-    """A_L[i][j] = sum_terms coeff(node_i) * prod_d d^{m_d} kernel_d(...)."""
+    """A_L[i][j] = sum_terms coeff(node_i) * prod_d d^{m_d} kernel_d(...),
+    rows of the tables' form (``_operator_row``)."""
     if tables is None:
         tables = _all_tables(kernels, grid, operator)
     return [
@@ -334,8 +341,9 @@ def _factor_kernel_matrix(ctx, a, name):
 
 def operational_matrix(fact_a, a_l):
     """L with L A = A_L, from the LU factors of A: row i of L solves
-    A^T l_i = (row i of A_L).  A is never inverted explicitly."""
-    return [fact_a.solve_transpose_vec(row) for row in a_l]
+    A^T l_i = (row i of A_L), kept as a row of the factors' context
+    (``numerics.as_row``).  A is never inverted explicitly."""
+    return [as_row(fact_a.ctx, fact_a.solve_transpose_vec(row)) for row in a_l]
 
 
 class _OperationalFactors:

@@ -22,6 +22,7 @@ from bcrbf.errors import BcrbfError, SingularMatrix
 from bcrbf.functionals import make_dirichlet
 from bcrbf.homogenize import homogenize_nd
 from bcrbf.numerics import (
+    Aligned,
     check_finite,
     dot,
     lu_factor,
@@ -167,7 +168,7 @@ class CroutLU:
         n = len(a)
         self.ctx = ctx
         self.n = n
-        self.norm1_a = max(sum(abs(row[j]) for row in a) for j in range(n))
+        self.norm1_a = norm_1_of_numbers(a)
         convert = (lambda v: v) if ctx.mode == "float64" else ctx.mp.convert
         lu = [[convert(v) for v in row] for row in a]
         swaps = []
@@ -359,6 +360,29 @@ def apply_to_function(functional, f, df=None):
                 "functional has derivative terms but no derivative access given"
             )
     return total
+
+
+def norm_1_of_numbers(a):
+    """The largest column sum of |a_ij| of a matrix of numbers, by ``sum``
+    and ``max`` on the number objects: the first of the largest, each
+    partial sum rounded at its column's first entry's digits."""
+    return max(sum(abs(row[j]) for row in a) for j in range(len(a[0])))
+
+
+def norm_inf_of_numbers(a):
+    """The largest row sum of |a_ij|, by ``sum`` and ``max`` on numbers."""
+    return max(sum(abs(v) for v in row) for row in a)
+
+
+def max_abs_of_numbers(a):
+    """The first largest |a_ij|, by ``abs`` and ``max`` on numbers."""
+    return max(abs(v) for row in a for v in row)
+
+
+def number_rows(a):
+    """A matrix as lists of numbers: an mp matrix's ``Aligned`` rows as
+    their entries' numbers, exactly; float64 rows as they are."""
+    return [row.numbers() if isinstance(row, Aligned) else row for row in a]
 
 
 def dense_axis_matrix(kernel, m, pts, nodes):

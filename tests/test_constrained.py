@@ -261,6 +261,27 @@ def test_annihilation_mp_tolerance():
             assert abs(apply_to_function(L, slice_in_x(ck, y))) < bound
 
 
+@pytest.mark.parametrize("s", ["1e-30", "3e-18", "1e-18", "1e30"])
+def test_scaled_functionals_impose_as_unscaled_ones(s):
+    """A Dirichlet pair scaled by s imposes at any s, at mp:40 on a
+    Gaussian with c = 0.5: the degeneracy threshold scales with the
+    functional as gamma does.  The kernel annihilates each functional to
+    10^(5-D) of the functional applied to the base kernel, and the same
+    scaled functional imposed twice is still refused."""
+    ctx = Precision("mp", 40)
+    base = GaussianKernel(ctx.num("0.5"), ctx)
+    funcs = [make_robin(s, 0, 0, ctx=ctx), make_robin(s, 0, 1, ctx=ctx)]
+    ck = impose_sequence(base, funcs)
+    bound = mpmath.mpf(10) ** (5 - ctx.digits)
+    for y in ("0.1", "0.5", "0.9"):
+        y = ctx.num(y)
+        for L in funcs:
+            got = apply_to_function(L, slice_in_x(ck, y))
+            assert abs(got) <= bound * abs(apply_to_function(L, slice_in_x(base, y)))
+    with pytest.raises(DegenerateConstraint):
+        impose_sequence(base, [funcs[0], funcs[0]])
+
+
 def test_imposed_metadata():
     l1 = make_dirichlet(0.0)
     l2 = make_neumann(1.0)

@@ -20,6 +20,7 @@ from bcrbf.numerics import (
     _round,
     _round_add,
     _round_div,
+    as_row,
     dot,
     lu_factor,
     mat_vec,
@@ -38,6 +39,7 @@ from oracles import (
     lu_solve,
     lu_solve_vec,
     mat_mul,
+    number_rows,
 )
 
 MP50 = Precision("mp", 50)
@@ -277,12 +279,14 @@ def test_dot_is_bit_identical_to_fdot(digits, n):
     # c + a x, a x and c + x, each row against fdot
     a = [_random_mpfs(ctx, rng, n) for _ in range(3)]
     c = _random_mpfs(ctx, rng, 3)
-    assert list(map(_bits, _affine_rows(ctx, a, us, c))) == list(
-        map(_bits, _affine_oracle(ctx, a, us, c))
-    )
-    assert list(map(_bits, _affine_rows(ctx, a, us))) == [
-        _bits(ctx.mp.fdot(row, us)) for row in a
-    ]
+    # rows given as numbers, and as Aligned rows
+    for rows in (a, [as_row(ctx, row) for row in a]):
+        assert list(map(_bits, _affine_rows(ctx, rows, us, c))) == list(
+            map(_bits, _affine_oracle(ctx, a, us, c))
+        )
+        assert list(map(_bits, _affine_rows(ctx, rows, us))) == [
+            _bits(ctx.mp.fdot(row, us)) for row in a
+        ]
     one = ctx.one
     assert list(map(_bits, _affine_rows(ctx, None, vs, c))) == [
         _bits(ctx.mp.fdot(((ci, one), (xi, one)))) for ci, xi in zip(c, vs)
@@ -303,7 +307,8 @@ def test_dot_drops_terms_as_mpf_sum_does(digits):
         expect = ctx.mp.fdot(us, ones)
         assert _bits(dot(ctx, us, ones)) == _bits(expect)
         c, row = us[0], us[1:]
-        assert _bits(_affine_rows(ctx, [row], ones[1:], [c])[0]) == _bits(expect)
+        for rows in ([row], [as_row(ctx, row)]):
+            assert _bits(_affine_rows(ctx, rows, ones[1:], [c])[0]) == _bits(expect)
     # the gap also forms in the products
     us = [mpf(2) ** 200, tiny, -mpf(2) ** 100]
     vs = [mpf(2) ** -200, one, mpf(2) ** -100]
@@ -525,7 +530,8 @@ def _assert_lu_is_the_oracle(ctx, a):
     """Factors, swaps and both solves of LUFactorization, and the 1-norm of
     ``a`` that its condition estimate forms, equal the oracle Crout's on
     number objects, bit for bit."""
-    ref, fact = CroutLU(ctx, a), lu_factor(ctx, a)
+    numbers = number_rows(a)
+    ref, fact = CroutLU(ctx, numbers), lu_factor(ctx, a)
     bits = repr if ctx.mode == "float64" else _bits
     assert fact.swaps == ref.swaps
     assert bits(norm_1(a)) == bits(ref.norm1_a)
@@ -534,7 +540,7 @@ def _assert_lu_is_the_oracle(ctx, a):
         factors = [list(map(repr, row)) for row in factors]
     assert factors == [list(map(bits, row)) for row in ref.lu]
     rng = random.Random(len(a))
-    for b in ([ctx.num(rng.uniform(-1, 1)) for _ in a], [row[0] for row in a]):
+    for b in ([ctx.num(rng.uniform(-1, 1)) for _ in a], [row[0] for row in numbers]):
         for solve, oracle in ((fact.solve_vec, ref.solve_vec),
                               (fact.solve_transpose_vec, ref.solve_transpose_vec)):
             assert list(map(bits, solve(b))) == list(map(bits, oracle(b)))
@@ -768,4 +774,5 @@ def test_uniform_rows_are_the_mpf_recurrence(c, digits, n):
             row.append(_bits(ctx.mp.mpf(g)))
             g, r = g * r, r * q
         expect.append(row)
-    assert [list(map(_bits, row)) for row in kernel._uniform_rows(xs, nodes)] == expect
+    # an Aligned row iterates over its entries' raw tuples
+    assert [list(row) for row in kernel._uniform_rows(xs, nodes)] == expect

@@ -40,6 +40,7 @@ from oracles import (
     dense_axis_matrix,
     fd_mixed_partial_f64,
     identity,
+    number_rows,
     product_kernel_eval,
     product_kernel_partial,
 )
@@ -217,7 +218,7 @@ def test_node_tables_equal_per_entry_mixed_partials(kind, scheme, prec):
     tables = _axis_tables(_constrained_kernel(kind, ctx), nodes, (0, 1, 2))
     oracle = _constrained_kernel(kind, ctx)
     for m in (0, 1, 2):
-        assert tables[m] == dense_axis_matrix(oracle, m, nodes, nodes)
+        assert number_rows(tables[m]) == dense_axis_matrix(oracle, m, nodes, nodes)
 
 
 def _exact(v):
@@ -247,6 +248,7 @@ def test_dense_tables_round_each_entry_once(kind, scheme):
     tables = _axis_tables(kernel, nodes, (0, 1, 2))
     for m in (0, 1, 2):
         mat = kernel.partial_matrix(m, nodes, nodes, False)
+        rows = number_rows(mat.rows)
         n = len(nodes)
         scales = [
             [_round(work, -_exact(q) / _exact(g)) for q in qs]
@@ -259,9 +261,9 @@ def test_dense_tables_round_each_entry_once(kind, scheme):
                 ))
                 for j in range(n)
             ]
-            for row in mat.rows
+            for row in rows
         ]
-        assert tables[m] == expected
+        assert number_rows(tables[m]) == expected
 
 
 def test_node_tables_cost_their_distinct_offsets(monkeypatch):
@@ -326,7 +328,8 @@ def test_operational_matrix_residual_mp():
     lmat = operational_matrix(lu_factor(ctx, a), al)
     from oracles import mat_mul
 
-    resid = mat_mul(lmat, a)
+    resid = mat_mul(number_rows(lmat), number_rows(a))
+    al = number_rows(al)
     n = 16
     err = max(abs(resid[i][j] - al[i][j]) for i in range(n) for j in range(n))
     assert err <= 10.0 ** (12 - 60) * float(norm_inf(al))
@@ -624,6 +627,7 @@ def test_operational_factors_solve_transpose():
     a, a_l = _trivial_system(ctx, 6)
     b = [ctx.num(i % 3) - 1 for i in range(6)]
     x = _OperationalFactors(ctx, a, a_l).solve_transpose_vec(b)
+    a_l = number_rows(a_l)
     resid = max(abs(sum(a_l[j][i] * x[j] for j in range(6)) - b[i]) for i in range(6))
     scale = norm_1(a_l) * max(abs(v) for v in x)
     assert resid <= mpmath.mpf(10) ** (8 - 40) * scale
