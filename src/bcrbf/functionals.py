@@ -39,7 +39,8 @@ class FunctionalTerm:
 
 
 class BoundaryFunctional:
-    """L(u) = sum coeff * u^(order)(location), plus a right-hand value."""
+    """L(u) = sum coeff * u^(order)(location), plus a right-hand value.
+    Every coefficient, location and the value must be finite."""
 
     __slots__ = ("kind", "terms", "rhs")
 
@@ -51,6 +52,12 @@ class BoundaryFunctional:
                 raise InvalidFunctional(
                     f"derivative order {t.order} not supported (only 0 or 1)"
                 )
+            if not (mpmath.isfinite(t.coeff) and mpmath.isfinite(t.location)):
+                raise InvalidFunctional(
+                    f"non-finite term {t.coeff} * u^({t.order})({t.location})"
+                )
+        if not mpmath.isfinite(rhs):
+            raise InvalidFunctional(f"non-finite value {rhs}")
         self.kind = kind
         self.terms = tuple(terms)
         self.rhs = rhs
@@ -198,16 +205,14 @@ def format_functional(functional):
 
 def parse_functional(text, ctx=FLOAT64):
     """Inverse of :func:`format_functional`.  Malformed text, or a number
-    that does not parse or is not finite, raises ``InvalidFunctional``."""
+    that does not parse or is not finite (``BoundaryFunctional``), raises
+    ``InvalidFunctional``."""
 
     def num(tok):
         try:
-            value = ctx.num(tok)
+            return ctx.num(tok)
         except ValueError:
-            value = mpmath.nan
-        if not mpmath.isfinite(value):
-            raise InvalidFunctional(f"expected a finite number, got {tok!r}")
-        return value
+            raise InvalidFunctional(f"expected a number, got {tok!r}") from None
 
     body, _, rhs_part = text.partition("=")
     rhs = num(rhs_part.strip()) if rhs_part.strip() else ctx.zero

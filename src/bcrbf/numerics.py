@@ -24,26 +24,25 @@ table rows (``kron``), scaled and summed over an operator's terms
 (``scale_row``, ``add_rows``), each product and sum rounded on raw
 mantissas as the numbers' arithmetic rounds it.  The LU keeps its
 factors as ``Aligned`` vectors too.  float64 matrices are lists of lists
-of floats.  Every mp matrix is read as ``Aligned`` rows -- by the LU, the
-norms, ``refine`` and ``mode_sum`` -- and one given as lists of numbers
-is aligned on entry, exactly.
+of floats.  The LU, ``refine`` and ``mode_sum`` read every mp matrix as
+``Aligned`` rows, and one given as lists of numbers is aligned on entry,
+exactly; the norms read ``Aligned`` rows by their integers and lists of
+numbers by the numbers' own arithmetic, to the same bits.
 
 Every exact mp sum -- the LU's Crout dots and triangular solves, the
 refinement residuals, the mode products and sums, the correction
 coefficients, the corrected kernel entries and the homogenization map's
-trace sums -- follows one rule, ``dot``'s.  Each product is formed
+trace sums -- is one routine, ``_dot_aligned``.  Each product is formed
 exactly from the raw mantissas and exponents of its operands, at
 whatever digits they carry, and the sum is bit-identical to mpmath's
 ``fdot`` on the same operands: when the products' exponents span at most
 2 * prec bits, ``mpf_sum`` provably keeps every term, so their exact sum
 is rounded once at the digits of the context; a wider span is left to
-``mpf_sum`` of the exact products, as ``fdot`` sums them.  Over
-``Aligned`` vectors (``_dot_aligned``) a sum is one C-level multiply-sum
-of integers per pair of vectors, the pairs added exactly: the LU's
-dots, the residuals and images of ``refine``, and every contraction of
-``mode_sum``.  Sequences of numbers are summed term by term: the
+``mpf_sum`` of the exact products, as ``fdot`` sums them.  A sum is one
+C-level multiply-sum of integers per pair of ``Aligned`` vectors, the
+pairs added exactly.  ``dot`` of two sequences of numbers -- the
 correction coefficients, a kernel entry formed by ``mixed_partial`` and
-the homogenization map's coefficients.
+the homogenization map's coefficients -- aligns them first.
 
 Every rounding of a raw mantissa here -- those exact sums, the LU's and
 the solves' subtractions and divisions, the norms, the products and sums
@@ -74,7 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter, mul, neg, sub, truediv
+from operator import mul, neg, sub, truediv
 
 import mpmath
 from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_neg, mpf_sum, round_nearest
@@ -317,30 +316,14 @@ def _abs_gt(x, y):
     return xm > ym << (ye - xe)
 
 
-def _mp_rows(a):
-    """The rows of an mp matrix as ``Aligned`` rows, a row given as numbers
-    aligned exactly with its first entry's context; None when ``a`` is a
-    float64 matrix (its first entry a plain number)."""
-    rows = []
-    for row in a:
-        if type(row) is not Aligned:
-            mp = getattr(row[0], "context", None)
-            if mp is None:
-                return None
-            row = Aligned([mp.convert(v)._mpf_ for v in row], mp)
-        rows.append(row)
-    return rows
-
-
 def max_abs(a):
-    """The largest |entry|, of the first entry of largest magnitude.  An mp
-    row is compared exactly by its largest integer, and the entry is
-    returned at its row's context."""
-    rows = _mp_rows(a)
-    if rows is None:
+    """The largest |entry|, of the first entry of largest magnitude.  An
+    ``Aligned`` row is compared exactly by its largest integer, and the
+    entry is returned at its row's context."""
+    if type(a[0]) is not Aligned:
         return max(abs(v) for row in a for v in row)
-    best, mp = fzero, rows[0].mp
-    for row in rows:
+    best, mp = fzero, a[0].mp
+    for row in a:
         if row.lo is not None:
             top = _round(max(map(abs, row.ints)), row.lo)
             if _abs_gt(top, best):
@@ -365,11 +348,10 @@ def norm_inf(a):
     abs entry."""
     if not isinstance(a[0], (list, Aligned)):
         return max(abs(v) for v in a)
-    rows = _mp_rows(a)
-    if rows is None:
+    if type(a[0]) is not Aligned:
         return max(sum(abs(v) for v in row) for row in a)
     best = None
-    for row in rows:
+    for row in a:
         prec = row.mp.prec
         total = _abs_sum(((v, row.lo, prec) for v in row.ints), prec)
         if best is None or _abs_gt(total, best):
@@ -381,14 +363,13 @@ def norm_1(a):
     """The largest column sum of |a_ij|, the first if several.  A column is
     summed down its rows as ``sum`` sums numbers: in mp each |a_ij| is
     rounded at the digits of its row's context and each partial sum at
-    those of the first row's, on the rows' integers."""
-    rows = _mp_rows(a)
-    if rows is None:
+    those of the first row's, on the integers of ``Aligned`` rows."""
+    if type(a[0]) is not Aligned:
         return max(sum(abs(row[j]) for row in a) for j in range(len(a[0])))
-    scales = [(row.lo, row.mp.prec) for row in rows]
-    mp = rows[0].mp
+    scales = [(row.lo, row.mp.prec) for row in a]
+    mp = a[0].mp
     best = None
-    for col in zip(*(row.ints for row in rows)):
+    for col in zip(*(row.ints for row in a)):
         total = _abs_sum(((v, lo, own) for v, (lo, own) in zip(col, scales)), mp.prec)
         if best is None or _abs_gt(total, best):
             best = total
@@ -465,14 +446,6 @@ class Aligned:
     def insert(self, i, raw):
         self.ints.insert(i, self._admit(raw))
 
-    def extend(self, raws):
-        """Append raw tuples, shifting the others up at most once."""
-        raws = list(raws)
-        nonzero = [raw for raw in raws if raw[1]]
-        if nonzero:
-            self._admit(min(nonzero, key=itemgetter(2)))
-        self.ints.extend(map(self._admit, raws))
-
     def __len__(self):
         return len(self.ints)
 
@@ -512,18 +485,29 @@ def extend_row(row, values):
     """Append the numbers ``values`` to a matrix row, in place, in its
     form: to an ``Aligned`` row exactly, as raw tuples."""
     if type(row) is Aligned:
-        row.extend(row.mp.convert(v)._mpf_ for v in values)
+        for v in values:
+            row.append(row.mp.convert(v)._mpf_)
     else:
         row.extend(values)
 
 
 def _dot_aligned(pairs, prec):
     """The raw sum of us[i] * vs[i] over pairs (us, vs) of ``Aligned``
-    vectors, rounded once at ``prec`` bits: bit-identical to ``fdot`` of
-    the pairs' vectors concatenated (see ``dot``).  Each pair is one
-    multiply-sum of its integers, and the pairs' sums are added exactly;
-    the window is bounded by the pairs' ``lo`` and ``hi`` before any sum
-    is taken."""
+    vectors, rounded once at ``prec`` bits: the one exact mp inner-product
+    kernel, bit-identical to ``fdot`` of the pairs' vectors concatenated.
+
+    Call the highest minus the lowest exponent of the nonzero products
+    their window.  Within 2 * prec bits ``mpf_sum`` can neither drop a
+    term, whose top bit would have to lie more than 2 * prec bits below
+    the running sum's lowest bit (never above the highest product
+    exponent), nor let a term replace a nonzero sum, whose lowest bit
+    would have to lie more than 2 * prec bits above the sum's top bit
+    (never below the lowest product exponent), wherever its running sum
+    starts.  So the exact sum, rounded once, is ``fdot``'s.  The pairs'
+    ``lo`` and ``hi`` bound the window before any sum is taken; within
+    2 * prec each pair is one C-level multiply-sum of its integers and the
+    pairs' sums are added exactly, and beyond it the exact products, each
+    taken by ``_round``, go to ``mpf_sum``, as ``fdot`` sums them."""
     live, lo, hi = [], None, None
     for us, vs in pairs:
         if us.lo is None or vs.lo is None:
@@ -545,74 +529,23 @@ def _dot_aligned(pairs, prec):
 def dot(ctx, us, vs):
     """sum(u * v), in float64 a plain float sum.
 
-    In mp mode this is the one exact inner-product kernel, bit-identical
-    to the context's ``fdot`` by one rule for both operand forms.  Call
-    the highest minus the lowest exponent of the nonzero products their
-    window.  Within 2 * prec bits ``mpf_sum`` can neither drop a term,
-    whose top bit would have to lie more than 2 * prec bits below the
-    running sum's lowest bit (never above the highest product exponent),
-    nor let a term replace a nonzero sum, whose lowest bit would have to
-    lie more than 2 * prec bits above the sum's top bit (never below the
-    lowest product exponent), wherever its running sum starts.  So the
-    exact sum, rounded once at the context's digits, is the dot; a wider
-    window goes to ``fdot``, the contract itself.  Operands are read at
-    their own digits, whatever their context, so nothing is converted.
-
-    Two ``Aligned`` vectors know their window before they are summed, and
-    sum within it by one C-level ``sum(map(mul, ...))`` of their integers
-    (beyond it, by ``mpf_sum`` of the exact products, each taken by
-    ``_round``).  Sequences of numbers are read as raw ``_mpf_`` tuples:
-    each nonzero product is added exactly into one integer at the lowest
-    exponent so far, until the window outgrows 2 * prec.  Either exact sum
-    is rounded by ``_round``.  The loop uses only integer operations
-    that Python ``int`` and gmpy2 ``mpz`` mantissas share.  An operand
-    without ``_mpf_`` (a Python number or an mpc) or an infinite or nan
-    one sends the whole sum through ``fdot``; iterators are read into
-    lists first, so that happens before any term is summed twice.
+    In mp mode ``_dot_aligned`` of the two vectors, bit-identical to the
+    context's ``fdot``, rounded at its digits.  Sequences of numbers are
+    read into lists and aligned at their own digits, whatever their
+    context, so nothing is converted.  Only operands that ``Aligned``
+    refuses -- one without ``_mpf_`` (a Python number or an mpc), or an
+    infinite or nan one -- send the sum through ``fdot`` itself.
     """
     if ctx.mode != "mp":
         return sum(map(mul, us, vs))
     mp = ctx.mp
-    prec = mp.prec
-    if type(us) is Aligned:
-        return mp.make_mpf(_dot_aligned(((us, vs),), prec))
-    if not isinstance(us, (list, tuple)):
-        us = list(us)
-    if not isinstance(vs, (list, tuple)):
-        vs = list(vs)
-    limit = 2 * prec
-    man = 0
-    lo = hi = None
-    try:
-        for u, v in zip(us, vs):
-            su, um, ue, _ = u._mpf_
-            sv, vm, ve, _ = v._mpf_
-            if not (um and vm):
-                if (not um and ue) or (not vm and ve):
-                    break  # inf or nan
-                continue
-            xman = um * vm
-            if su ^ sv:
-                xman = -xman
-            xexp = ue + ve
-            if lo is None:
-                man, lo, hi = xman, xexp, xexp
-            elif xexp < lo:
-                if hi - xexp > limit:
-                    break  # the window is wider than 2 * prec
-                man = (man << (lo - xexp)) + xman
-                lo = xexp
-            else:
-                if xexp > hi:
-                    if xexp - lo > limit:
-                        break
-                    hi = xexp
-                man += xman << (xexp - lo)
-        else:
-            return mp.make_mpf(_round(man, lo or 0, prec))
-    except AttributeError:  # an operand that is not an mpf
-        pass
-    return mp.fdot(us, vs)
+    if type(us) is not Aligned:
+        us, vs = list(us), list(vs)
+        try:
+            us, vs = Aligned([u._mpf_ for u in us]), Aligned([v._mpf_ for v in vs])
+        except (AttributeError, ValueError):  # not an mpf, or inf or nan
+            return mp.fdot(us, vs)
+    return mp.make_mpf(_dot_aligned(((us, vs),), mp.prec))
 
 
 def correction_scales(ctx, qs, gammas):
@@ -677,8 +610,8 @@ class CorrectedMatrix:
         exactly and rounded once, as ``ConstrainedKernel.mixed_partial``
         forms it.  In mp it is one multiply-sum of the integers of row i of
         [B | P] and of [1, s_1j, ..., s_rj], aligned once per node, when
-        their exponents bound its window within 2 * prec (see ``dot``),
-        and else ``_dot_aligned`` of the entry's own terms."""
+        their exponents bound its window within 2 * prec, and else
+        ``_dot_aligned`` of the entry's own terms, which states the rule."""
         ctx = self.ctx
         n = len(self.right[0])
         scales = [correction_scales(ctx, qs, self.gammas) for qs in zip(*self.right)]

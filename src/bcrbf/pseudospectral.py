@@ -443,8 +443,13 @@ class Solution(ScalarField):
         by the rule stated there.  On uniform grids
         the rows of G come from a two-term recurrence along the nodes
         (see ``kernels.GaussianKernel``).  Each entry depends on its own
-        point only, so grid and pointwise values agree bit for bit.
+        point only, so grid and pointwise values agree bit for bit.  Orders
+        or axes of another dimension than the solution's raise ValueError.
         """
+        if len(orders) != self.dim or len(axes) != self.dim:
+            raise ValueError(
+                f"the solution is {self.dim}-dimensional: got {len(orders)} "
+                f"derivative orders and {len(axes)} coordinate axes")
         ctx = self.ctx
         axes = [[ctx.num(x) for x in pts] for pts in axes]
         uniform = self.grid.uniform

@@ -160,3 +160,19 @@ def test_solve_kernel_calls_scale_with_nodes(monkeypatch):
     calls = _count_mixed_partials(monkeypatch)
     solve(problem, (72,), "0.18", ctx)
     assert 0 < len(calls) <= 30 * 72
+
+
+def test_a_point_or_grid_of_another_dimension_is_refused(monkeypatch):
+    """A 2D solution refuses a 3D point, a 1D point and one derivative
+    order for two axes with a ValueError naming its dimension, before any
+    kernel matrix is formed."""
+    ctx = Precision("mp", 30)
+    record = get_example("ex4")
+    sol = solve(record.make(ctx), (4, 4), record.default_shape, ctx)
+    ax = [ctx.num("0.3")]
+    for kernel in sol.kernels:
+        monkeypatch.setattr(type(kernel), "partial_matrix", None)
+    for call in (lambda: sol.value((0.3, 0.4, 0.5)), lambda: sol.value((0.3,)),
+                 lambda: sol.partial_axes((0,), [ax, ax])):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            call()

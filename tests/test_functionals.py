@@ -187,6 +187,28 @@ def test_text_form_round_trips():
         ]
 
 
+@pytest.mark.parametrize("prec", ["float64", "mp:30"])
+def test_constructors_reject_nonfinite_numbers(prec):
+    """A nan or inf coefficient, location or value is refused where the
+    functional is made, not left for the solve to fail on."""
+    ctx = Precision.parse(prec)
+    nan, inf = math.nan, math.inf
+    makers = [
+        lambda: make_robin(nan, 1, 0, 0, ctx),
+        lambda: make_robin(inf, 1, 0, 0, ctx),
+        lambda: make_robin(1, -inf, 0, 0, ctx),
+        lambda: make_robin(1, 1, nan, 0, ctx),
+        lambda: make_dirichlet(0, nan, ctx),
+        lambda: make_neumann(inf, 0, ctx),
+        lambda: make_multipoint(0, [(inf, 0.5)], 0, ctx),
+        lambda: make_multipoint(0, [(0.5, 0.6)], -inf, ctx),
+        lambda: BoundaryFunctional("custom", [FunctionalTerm(1.0, 0, 0.0)], nan),
+    ]
+    for make in makers:
+        with pytest.raises(InvalidFunctional):
+            make()
+
+
 @pytest.mark.parametrize("text", [
     "dirichlet @abc",
     "dirichlet @0 = x",

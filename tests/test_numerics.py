@@ -332,6 +332,39 @@ def test_dot_falls_back_to_fdot_for_other_operands():
     assert ctx.mp.isnan(dot(ctx, [ctx.zero], [ctx.mp.inf]))
 
 
+def test_finite_mp_operands_never_reach_fdot(monkeypatch):
+    """A dot of finite mp numbers is summed on their aligned integers, to
+    fdot's bits, whatever the window of its products: below, at and far
+    above 2 * prec bits, and across an exact cancellation.  Only operands
+    that are not finite mp numbers are left to fdot."""
+    ctx = Precision("mp", 30)
+    mp = ctx.mp
+    one, two, prec = ctx.one, mp.mpf(2), mp.prec
+    rng = random.Random(11)
+    cases = [
+        ([one, two ** -prec, -two ** 7], [one, one, two ** -9]),
+        ([one, two ** (-2 * prec), -one], [one] * 3),
+        ([two ** (5 * prec), one, two ** (-5 * prec)], [one, two ** -3, one]),
+        ([one, -one, two ** (-10 * prec)], [one] * 3),
+        ([one, two ** (-3 * prec), -one], [one] * 3),
+        (_random_mpfs(ctx, rng, 16), _random_mpfs(ctx.with_digits(300), rng, 16)),
+    ]
+    expect = [_bits(mp.fdot(us, vs)) for us, vs in cases]
+
+    class Reached(Exception):
+        pass
+
+    def fdot(*args):
+        raise Reached
+
+    monkeypatch.setattr(mp, "fdot", fdot)
+    assert [_bits(dot(ctx, us, vs)) for us, vs in cases] == expect
+    assert [_bits(dot(ctx, iter(us), vs)) for us, vs in cases] == expect
+    for odd in (3, 0.5, mp.mpc(1, 2), mp.inf, mp.nan):
+        with pytest.raises(Reached):
+            dot(ctx, [one, odd], [one, one])
+
+
 def test_dot_float64_is_the_plain_sum():
     us, vs = [0.1, 0.2, 0.3], [3.0, -1.0, 7.0]
     assert dot(FLOAT64, us, vs) == 0.1 * 3.0 + 0.2 * -1.0 + 0.3 * 7.0
@@ -419,8 +452,8 @@ def _pow2(e, man=1):
 @example((30, [_ONE, _ONE, _pow2(3 * _P30, 3)], [_ONE, _pow2(0, -1), _ONE]))
 def test_dot_term_loop_is_bit_identical_to_fdot(operands):
     """A dot of two sequences of numbers is the context's fdot, bit for
-    bit: the exact sum rounded once within a window of 2 * prec bits, and
-    fdot itself beyond it; in either order of the terms."""
+    bit, within a window of 2 * prec bits and beyond it, in either order
+    of the terms."""
     digits, us, vs = operands
     ctx = Precision("mp", digits)
     make = ctx.mp.make_mpf

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -556,3 +557,22 @@ def test_cli_entry_point_installed():
     )
     assert proc.returncode == 0
     assert "ex1" in proc.stdout
+
+
+def test_readme_library_example_runs():
+    """The README's library example runs as written, and the value it
+    prints at x = 0.5 is within the error that ``run_example`` reports for
+    its configuration: ex1, N = 32, c = 0.18, eps = 2^-5, mp:100."""
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    code = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": "src"}, check=True,
+    )
+    ctx = Precision("mp", 100)
+    eps = 2.0 ** -5
+    rep = run_example("ex1", "constrained", (32,), 0.18, ctx, eps=eps)
+    exact = get_example("ex1").make(ctx, eps).exact.value((ctx.num("0.5"),))
+    assert rep.status == "ok"
+    assert abs(ctx.num(proc.stdout.strip()) - exact) <= rep.max_abs_err
