@@ -169,16 +169,27 @@ class ScalarField:
     def partial_axes(self, orders, axes):
         return pointwise(self, orders, axes)
 
+    def check_dimension(self, orders, axes):
+        """Raise ValueError naming the field's dimension unless ``orders``
+        and ``axes`` both have it: a field that zips them with its own
+        per-axis parts would cut a point of another dimension short."""
+        if len(orders) != self.dim or len(axes) != self.dim:
+            raise ValueError(
+                f"{type(self).__name__} is {self.dim}-dimensional: got "
+                f"{len(orders)} derivative orders and {len(axes)} coordinate axes")
+
 
 class ProductField(ScalarField):
     """Separable field prod_d f_d(x_d); on a grid, the outer product of the
-    per-axis derivative vectors, multiplied in axis order."""
+    per-axis derivative vectors, multiplied in axis order.  Orders or axes
+    of another dimension raise ValueError."""
 
     def __init__(self, fns):
         self.fns = tuple(fns)
         self.dim = len(self.fns)
 
     def partial_axes(self, orders, axes):
+        self.check_dimension(orders, axes)
         return kron([
             [f.deriv(x, o) for x in ax] for f, o, ax in zip(self.fns, orders, axes)
         ])

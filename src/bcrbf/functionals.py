@@ -113,20 +113,16 @@ def make_multipoint(a, weights, psi=0, ctx=FLOAT64):
 
     ``weights`` is a sequence of (alpha_j, xi_j) pairs.
     """
-    a = ctx.num(a)
     if not weights:
         raise InvalidFunctional("multipoint requires at least one (alpha, xi) pair")
-    terms = [FunctionalTerm(ctx.one, 0, a)]
-    prev = a
-    for alpha_j, xi_j in weights:
-        xi_j = ctx.num(xi_j)
-        if not xi_j > prev:
-            raise InvalidFunctional(
-                "multipoint locations must satisfy a < xi_1 < ... < xi_J"
-            )
-        terms.append(FunctionalTerm(-ctx.num(alpha_j), 0, xi_j))
-        prev = xi_j
-    return BoundaryFunctional("multipoint", terms, ctx.num(psi))
+    terms = [FunctionalTerm(ctx.one, 0, ctx.num(a))]
+    terms += [FunctionalTerm(-ctx.num(alpha_j), 0, ctx.num(xi_j)) for alpha_j, xi_j in weights]
+    # made first, so that a non-finite number is refused as such
+    functional = BoundaryFunctional("multipoint", terms, ctx.num(psi))
+    locations = [t.location for t in terms]
+    if not all(x < y for x, y in zip(locations, locations[1:])):
+        raise InvalidFunctional("multipoint locations must satisfy a < xi_1 < ... < xi_J")
+    return functional
 
 
 # -- application -------------------------------------------------------------

@@ -81,6 +81,7 @@ def kansa_solve(problem, counts, shape, ctx):
             data = problem.data_for(d, side)
             tpoint = tuple(x for e, x in enumerate(p) if e != d)
             rhs.append(ctx.num(data.value(tpoint)))
+    del tables, face_vectors  # not read again: free them for the factors
 
     fact = _factor_kernel_matrix(ctx, rows, "Kansa collocation matrix")
     lam = fact.solve_vec(rhs)

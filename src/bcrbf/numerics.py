@@ -705,6 +705,24 @@ def _fibers(vals, shape, e):
     return out
 
 
+def solve_along(vals, shape, e, solve):
+    """The flat array ``vals`` of ``shape`` with each of its fibers along
+    axis e (``_fibers``) replaced by ``solve(fiber)``, a vector of the
+    fiber's length: one call per fiber.  A 1-axis array is its own fiber,
+    passed as it is; otherwise an ``Aligned`` row is read as its numbers."""
+    if len(shape) == 1:
+        return solve(vals)
+    if type(vals) is Aligned:
+        vals = vals.numbers()
+    n, inner = shape[e], math.prod(shape[e + 1:])
+    out = [None] * len(vals)
+    for k, fiber in enumerate(_fibers(vals, shape, e)):
+        o, r = divmod(k, inner)
+        start = o * n * inner + r
+        out[start:start + n * inner:inner] = solve(fiber)
+    return out
+
+
 def _contract(ctx, plan, total):
     """The ``total`` entries, in flat order, of a sum of contractions along
     one axis each.  ``plan`` holds one (rows, fibers, inner, m) per term:

@@ -6,8 +6,12 @@ PDE at interior tensor nodes, and solve either
 
 * ``direct``: A_L lambda = F, or
 * ``ps``:     the operational-matrix route L = A_L A^{-1}, L v = F for the
-  nodal values, then A lambda = v (A is never inverted explicitly; the
-  matrix equation L A = A_L is solved instead).
+  nodal values, then A lambda = v.  A = T0_0 (x) ... (x) T0_{d-1} is the
+  Kronecker product of the per-axis node tables, so A is never factored
+  nor inverted explicitly: each T0_d is factored once, and a solve with A
+  is one solve with T0_d along every fiber of axis d (``AxisFactors``).
+  Row i of L solves A^T l_i = (row i of A_L) that way, and L is the only
+  N x N matrix this route factors.
 
 Both routes compute the nodal values A A_L^{-1} F + M, and both
 precisions take one solve path, ``numerics.refine`` with the route's
@@ -63,6 +67,7 @@ from .numerics import (
     mode_sum,
     refine,
     scale_row,
+    solve_along,
 )
 
 _COLLISION_RTOL = 1e-9
@@ -339,55 +344,71 @@ def _factor_kernel_matrix(ctx, a, name):
         ) from None
 
 
-def operational_matrix(fact_a, a_l):
-    """L with L A = A_L, from the LU factors of A: row i of L solves
-    A^T l_i = (row i of A_L), kept as a row of the factors' context
-    (``numerics.as_row``).  A is never inverted explicitly."""
-    return [as_row(fact_a.ctx, fact_a.solve_transpose_vec(row)) for row in a_l]
+class AxisFactors:
+    """LU factors of the per-axis tables T0_d of A = T0_0 (x) ... (x)
+    T0_{d-1}, the Kronecker product in flat order, at the digits of
+    ``ctx``; A itself is never factored.
+
+    A^-1 is the Kronecker product of the T0_d^-1, so ``solve_vec`` solves
+    A x = r by one solve with T0_d along every fiber of axis d
+    (``numerics.solve_along``), axis 0 first, each pass rounded at the
+    factors' digits, and ``solve_transpose_vec`` solves A^T x = r the same
+    way with the T0_d^T.  In 1D they are the table's own solves.  A
+    singular table raises the SingularMatrix that names the evaluation
+    matrix.
+    """
+
+    def __init__(self, ctx, tables):
+        self.shape = [len(t) for t in tables]
+        self.factors = [_factor_kernel_matrix(ctx, t, "evaluation matrix") for t in tables]
+
+    def solve_vec(self, r):
+        for e, fact in enumerate(self.factors):
+            r = solve_along(r, self.shape, e, fact.solve_vec)
+        return r
+
+    def solve_transpose_vec(self, r):
+        for e, fact in enumerate(self.factors):
+            r = solve_along(r, self.shape, e, fact.solve_transpose_vec)
+        return r
+
+    def cond_a(self, tables):
+        """cond_1(A) for the tables factored: cond_1 of a Kronecker product
+        is the product of its factors' cond_1, each estimated from its LU
+        factors (``LUFactorization.cond1_estimate``)."""
+        return math.prod(f.cond1_estimate(t) for f, t in zip(self.factors, tables))
+
+
+def operational_matrix(ctx, axes, a_l):
+    """L' with L' A = A_L, from the axis factors of A (``AxisFactors``):
+    row i of L' solves A^T l_i = (row i of A_L) along the axes, and is
+    rounded to the digits of ``ctx`` as a row of it (``numerics.as_row``).
+    A is never inverted explicitly."""
+    return [as_row(ctx, map(ctx.num, axes.solve_transpose_vec(row))) for row in a_l]
 
 
 class _OperationalFactors:
-    """The ps route's factorizations: LU factors of A, and of L formed from
-    them.  Since A_L = L A, ``solve_vec`` applies A^-1 L^-1, an
-    approximate inverse of A_L, and ``solve_transpose_vec`` L^-T A^-T, one
-    of A_L^T: so ``cond1_estimate`` estimates cond_1(A_L) from these
-    factors, with no factorization of A_L."""
+    """The ps route's factorizations: the axis factors of A, and the LU of
+    L' formed from them, at the digits of ``ctx``.  Since A_L = L' A,
+    ``solve_vec`` applies A^-1 L'^-1, an approximate inverse of A_L, and
+    ``solve_transpose_vec`` L'^-T A^-T, one of A_L^T: so
+    ``cond1_estimate`` estimates cond_1(A_L) from these factors, with no
+    factorization of A_L."""
 
-    def __init__(self, ctx, a, a_l):
+    def __init__(self, ctx, axes, a_l):
         self.ctx = ctx
         self.n = len(a_l)
-        self.fact_a = _factor_kernel_matrix(ctx, a, "evaluation matrix")
-        self.fact_lmat = lu_factor(ctx, operational_matrix(self.fact_a, a_l))
+        self.axes = axes
+        self.fact_lmat = lu_factor(ctx, operational_matrix(ctx, axes, a_l))
 
     def solve_vec(self, r):
-        return self.fact_a.solve_vec(self.fact_lmat.solve_vec(r))
+        return self.axes.solve_vec(self.fact_lmat.solve_vec(r))
 
     def solve_transpose_vec(self, r):
-        return self.fact_lmat.solve_transpose_vec(self.fact_a.solve_transpose_vec(r))
+        return self.fact_lmat.solve_transpose_vec(self.axes.solve_transpose_vec(r))
 
     def cond1_estimate(self, a):
         return LUFactorization.cond1_estimate(self, a)
-
-
-def _cond_a(ctx, tables):
-    """cond_1(A) from n_d x n_d factorizations, or None when an axis table
-    is singular.
-
-    A is the Kronecker product of the per-axis tables T0_d, and cond_1 of
-    a Kronecker product is the product of the factors' cond_1.  In the
-    benchmark examples checked (ex1, ex4-ex7) cond_1(A_L) stays below
-    cond_1(A), so an mp solve raises its first factorization's precision
-    when this may exceed 10^(D - 30): D-digit factors of the system would
-    refine slowly or not at all.  A wrong guess costs ``refine`` a second
-    factorization, not accuracy.
-    """
-    cond = 1
-    for axis in tables:
-        try:
-            cond *= lu_factor(ctx, axis[0]).cond1_estimate(axis[0])
-        except SingularMatrix:
-            return None
-    return cond
 
 
 # -- solution -------------------------------------------------------------------
@@ -446,10 +467,7 @@ class Solution(ScalarField):
         point only, so grid and pointwise values agree bit for bit.  Orders
         or axes of another dimension than the solution's raise ValueError.
         """
-        if len(orders) != self.dim or len(axes) != self.dim:
-            raise ValueError(
-                f"the solution is {self.dim}-dimensional: got {len(orders)} "
-                f"derivative orders and {len(axes)} coordinate axes")
+        self.check_dimension(orders, axes)
         ctx = self.ctx
         axes = [[ctx.num(x) for x in pts] for pts in axes]
         uniform = self.grid.uniform
@@ -486,15 +504,25 @@ def solve(problem, counts, shape, ctx, mode="direct", scheme="uniform-interior")
     evaluating the expansion at D digits.  ``float64`` does one plain
     solve.
 
+    ``direct`` factors A_L, at D digits, or at D + REFINE_GUARD when
+    cond_A may exceed 10^(D - REFINE_GUARD).  ``ps`` factors the axis
+    tables T0_d once, at D + REFINE_GUARD digits (``AxisFactors``), for
+    cond_A and for every solve with A, and L' at D: the tables carry
+    cond_A, and L' is conditioned like A_L.  When an attempt
+    does not reach D digits, ``refine`` factors once more at
+    REFINE_GUARD more digits, the axis tables included.
+
     The diagnostics record ``factor_digits`` (precision of the last
-    factorization), ``work_digits`` (precision of the residuals and of
-    lambda), ``refine_steps`` and ``effective_digits``: the significant
-    digits of the nodal values, relative to the largest, that the
-    refinement vouches for.  It equals D unless the refinement stalled
-    even at the raised factor precision; float64 records 16 digits and no
-    steps.  ``cond_A`` is the product of the per-axis estimates (None when
-    an axis table is singular) and ``cond_AL`` the 1-norm estimate from
-    the factors that solved the system.
+    factorization of the system: A_L, or L' on ``ps``), ``work_digits``
+    (precision of the residuals and of lambda), ``refine_steps`` and
+    ``effective_digits``: the significant digits of the nodal values,
+    relative to the largest, that the refinement vouches for.  It equals
+    D unless the refinement stalled even at the raised factor precision;
+    float64 records 16 digits and no steps.  ``cond_A`` is the product of
+    the per-axis estimates, from D-digit factors on ``direct`` (None when
+    an axis table is singular there) and from the axis factors on ``ps``,
+    rounded to D digits; ``cond_AL`` is the 1-norm estimate from the
+    factors that solved the system.
     """
     if mode not in ("direct", "ps"):
         raise ValueError("mode must be 'direct' or 'ps'")
@@ -526,23 +554,43 @@ def solve(problem, counts, shape, ctx, mode="direct", scheme="uniform-interior")
     tables = _all_tables(kernels, grid, problem.operator)
     a = build_evaluation_matrix(grid, kernels, tables)
     a_l = build_operator_matrix(grid, kernels, problem.operator, tables)
+    t0 = [axis[0] for axis in tables]
+    del tables  # the tables of nonzero order are not read again: free them
     f = [
         ctx.num(problem.rhs(p)) - lm
         for p, lm in zip(grid.points(), problem.operator.apply_axes(hom, grid.axes))
     ]
 
-    cond_a = _cond_a(ctx, tables)
-    del tables  # the per-axis tables are not read again: free them for the factors
     if mode == "direct":
+        # In the benchmark examples checked (ex1, ex4-ex7) cond_1(A_L)
+        # stays below cond_1(A), so the first factorization takes guard
+        # digits when this may exceed 10^(D - 30): D-digit factors of A_L
+        # would refine slowly or not at all.  A wrong guess costs
+        # ``refine`` a second factorization, not accuracy.
+        try:
+            cond_a = AxisFactors(ctx, t0).cond_a(t0)
+        except SingularMatrix:
+            cond_a = None
+        del t0  # read by no factorization of A_L: free it for them
+        risky = cond_a is None or cond_a >= ctx.num(10) ** (ctx.digits - REFINE_GUARD)
+        guard = REFINE_GUARD if risky else 0
+
         def factor(fctx):
             return lu_factor(fctx, a_l)
     else:
-        def factor(fctx):
-            return _OperationalFactors(fctx, a, a_l)
+        # the axis tables take the guard digits, L' the attempt's own
+        # (cond_1(L') is at most 9.2e15 on the examples checked)
+        first = AxisFactors(ctx.with_digits(ctx.digits + REFINE_GUARD), t0)
+        cond_a = ctx.num(first.cond_a(t0))
+        guard = 0
 
-    risky = cond_a is None or cond_a >= ctx.num(10) ** (ctx.digits - REFINE_GUARD)
+        def factor(fctx):
+            axes = first if fctx.digits == ctx.digits else AxisFactors(
+                fctx.with_digits(fctx.digits + REFINE_GUARD), t0)
+            return _OperationalFactors(fctx, axes, a_l)
+
     run = refine(
-        ctx, a_l, f, factor, guard=REFINE_GUARD if risky else 0,
+        ctx, a_l, f, factor, guard=guard,
         image=a, shift=hom.partial_axes((0,) * dim, grid.axes),
     )
     lam = [ctx.num(v) for v in run.x]

@@ -182,6 +182,20 @@ def _ex4_run():
     return solve(problem, (8, 8), "0.01", ctx), problem
 
 
+@pytest.mark.parametrize("mode", ["float64", "mp"])
+def test_product_field_refuses_another_dimension(mode):
+    """sin(x) sin(2y) refuses a 3D point, a 1D point and one derivative
+    order for two axes with a ValueError naming its dimension, where it
+    once evaluated the point cut to its first coordinates."""
+    ctx = CTXS[mode]
+    field = ProductField([fn_sin(ctx, 1), fn_sin(ctx, 2)])
+    ax = [ctx.num("0.3")]
+    for call in (lambda: field.value((0.3, 0.4, 0.5)), lambda: field.value((0.3,)),
+                 lambda: field.partial_axes((0,), [ax, ax])):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            call()
+
+
 def test_error_metrics_takes_a_per_point_field():
     """A field with only dim, value and partial goes through error_metrics,
     point by point, to the same bits as the field itself."""

@@ -209,6 +209,19 @@ def test_constructors_reject_nonfinite_numbers(prec):
             make()
 
 
+@pytest.mark.parametrize("prec", ["float64", "mp:30"])
+def test_nonfinite_multipoint_locations_are_named_non_finite(prec):
+    """A nan or inf anchor or location is reported as non-finite, not as
+    out of order; finite locations out of order still are."""
+    ctx = Precision.parse(prec)
+    nan, inf = math.nan, math.inf
+    for a, weights in ((0, [(0.5, nan)]), (nan, [(0.5, 0.6)]), (0, [(0.5, 0.6), (0.5, inf)])):
+        with pytest.raises(InvalidFunctional, match="non-finite"):
+            make_multipoint(a, weights, 0, ctx)
+    with pytest.raises(InvalidFunctional, match="a < xi_1"):
+        make_multipoint(0, [(0.5, 0.6), (0.5, 0.6)], 0, ctx)
+
+
 @pytest.mark.parametrize("text", [
     "dirichlet @abc",
     "dirichlet @0 = x",

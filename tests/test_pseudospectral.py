@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -19,8 +20,9 @@ from bcrbf.functionals import make_dirichlet, make_multipoint, make_neumann, mak
 from bcrbf.kansa import kansa_solve
 from bcrbf import numerics
 from bcrbf.kernels import GaussianKernel
-from bcrbf.numerics import FLOAT64, Precision, lu_factor, norm_1, norm_inf
+from bcrbf.numerics import FLOAT64, Precision, kron, lu_factor, norm_1, norm_inf
 from bcrbf.pseudospectral import (
+    AxisFactors,
     BoundaryCondition,
     OperatorSpec,
     OperatorTerm,
@@ -305,11 +307,38 @@ def test_singular_kernel_matrices_name_the_remedies():
         solve(problem, (8,), "1e-5", FLOAT64, mode="ps")
 
 
+@pytest.mark.parametrize("ctx", [FLOAT64, MP40], ids=["float64", "mp:40"])
+def test_axis_factors_solve_with_the_kronecker_product(ctx):
+    """AxisFactors solves A x = r and A^T x = r for A = T_0 (x) T_1 (x) T_2
+    with axes of unequal sizes and unsymmetric tables as an LU of A itself
+    does, to the working precision; an mp vector given as an ``Aligned``
+    row gives the same bits as its numbers."""
+    rng = random.Random(7)
+    counts = (2, 3, 4)
+    tables = [
+        [[ctx.num(rng.uniform(-1, 1) + (3 if i == j else 0)) for j in range(n)]
+         for i in range(n)]
+        for n in counts
+    ]
+    a = [kron([t[i] for t, i in zip(tables, ii)])
+         for ii in itertools.product(*map(range, counts))]
+    r = [ctx.num(rng.uniform(-1, 1)) for _ in range(math.prod(counts))]
+    axes, dense = AxisFactors(ctx, tables), lu_factor(ctx, a)
+    for solve_axes, solve_dense in ((axes.solve_vec, dense.solve_vec),
+                                    (axes.solve_transpose_vec, dense.solve_transpose_vec)):
+        got, want = solve_axes(r), solve_dense(r)
+        assert max(abs(u - v) for u, v in zip(got, want)) <= (
+            10.0 ** (4 - ctx.digits) * max(abs(v) for v in want))
+        if ctx.mode == "mp":
+            assert solve_axes(numerics.as_row(ctx, r)) == got
+
+
 def test_operational_matrix_identity_and_scalar():
     al = [[3.0, 1.0], [0.0, 2.0]]
-    lmat = operational_matrix(lu_factor(FLOAT64, identity(FLOAT64, 2)), al)
+    lmat = operational_matrix(FLOAT64, AxisFactors(FLOAT64, [identity(FLOAT64, 2)]), al)
     assert lmat[0] == pytest.approx(al[0]) and lmat[1] == pytest.approx(al[1])
-    assert operational_matrix(lu_factor(FLOAT64, [[4.0]]), [[2.0]])[0][0] == pytest.approx(0.5)
+    assert operational_matrix(
+        FLOAT64, AxisFactors(FLOAT64, [[[4.0]]]), [[2.0]])[0][0] == pytest.approx(0.5)
 
 
 def test_operational_matrix_residual_mp():
@@ -325,7 +354,7 @@ def test_operational_matrix_residual_mp():
     g = build_grid(((ctx.zero, ctx.one),), (16,), "uniform-interior", ctx)
     a = build_evaluation_matrix(g, [ck])
     al = build_operator_matrix(g, [ck], op)
-    lmat = operational_matrix(lu_factor(ctx, a), al)
+    lmat = operational_matrix(ctx, AxisFactors(ctx, [a]), al)
     from oracles import mat_mul
 
     resid = mat_mul(number_rows(lmat), number_rows(a))
@@ -626,7 +655,7 @@ def test_operational_factors_solve_transpose():
     ctx = MP40
     a, a_l = _trivial_system(ctx, 6)
     b = [ctx.num(i % 3) - 1 for i in range(6)]
-    x = _OperationalFactors(ctx, a, a_l).solve_transpose_vec(b)
+    x = _OperationalFactors(ctx, AxisFactors(ctx, [a]), a_l).solve_transpose_vec(b)
     a_l = number_rows(a_l)
     resid = max(abs(sum(a_l[j][i] * x[j] for j in range(6)) - b[i]) for i in range(6))
     scale = norm_1(a_l) * max(abs(v) for v in x)
@@ -634,8 +663,9 @@ def test_operational_factors_solve_transpose():
 
 
 def test_ps_solve_factors_a_axis_a_and_l_only(monkeypatch):
-    """One 1D ps solve factors the axis table (cond_A), A and L: cond_AL
-    comes from those factors, with no LU of A_L."""
+    """One 1D ps solve factors two matrices: the axis table, which is A
+    (cond_A and the solves with A), and L: cond_AL comes from those
+    factors, with no LU of A_L."""
     made = []
     init = numerics.LUFactorization.__init__
 
@@ -645,7 +675,63 @@ def test_ps_solve_factors_a_axis_a_and_l_only(monkeypatch):
 
     monkeypatch.setattr(numerics.LUFactorization, "__init__", counted)
     solve(_trivial_problem(MP40), (6,), 1.0, MP40, mode="ps")
-    assert made == [6, 6, 6]
+    assert made == [6, 6]
+
+
+def _factorizations(monkeypatch):
+    """The (size, digits) of every LU taken from here on, in order."""
+    made = []
+    init = numerics.LUFactorization.__init__
+
+    def counted(self, ctx, a):
+        made.append((len(a), ctx.digits))
+        init(self, ctx, a)
+
+    monkeypatch.setattr(numerics.LUFactorization, "__init__", counted)
+    return made
+
+
+def test_ps_solve_factors_the_axis_tables_and_l_only_in_2d(monkeypatch):
+    """An ex4 4x4 ps solve factors its two 4x4 axis tables and L', and no
+    other 16x16 matrix: A is solved along its axes, never factored."""
+    record = get_example("ex4")
+    problem = record.make(MP40)
+    made = _factorizations(monkeypatch)
+    sol = solve(problem, (4, 4), record.default_shape, MP40, mode="ps")
+    assert [n for n, _ in made] == [4, 4, 16]
+    assert sol.diagnostics["effective_digits"] == 40
+
+
+@pytest.mark.parametrize("case", ["1d", "ex4 4x4"])
+def test_ps_factors_l_at_d_digits_and_the_axes_at_the_guard(monkeypatch, case):
+    """L' is factored at the context's D digits and the axis tables at
+    D + REFINE_GUARD, and ``factor_digits`` reports L''s.  When the first
+    attempt falls short, the second takes both REFINE_GUARD higher."""
+    if case == "1d":
+        problem, counts, shape = _trivial_problem(MP40), (6,), 1.0
+    else:
+        record = get_example("ex4")
+        problem, counts, shape = record.make(MP40), (4, 4), record.default_shape
+    n, guard = math.prod(counts), numerics.REFINE_GUARD
+    axes = [(c, 40 + guard) for c in counts]
+    made = _factorizations(monkeypatch)
+    sol = solve(problem, counts, shape, MP40, mode="ps")
+    assert made == [*axes, (n, 40)]
+    assert sol.diagnostics["factor_digits"] == 40
+
+    attempt = numerics._refine_attempt
+    runs = []
+
+    def first_falls_short(*args):
+        run = attempt(*args)
+        runs.append(run)
+        return dataclasses.replace(run, effective_digits=0) if len(runs) == 1 else run
+
+    monkeypatch.setattr(numerics, "_refine_attempt", first_falls_short)
+    made.clear()
+    sol = solve(problem, counts, shape, MP40, mode="ps")
+    assert made == [*axes, (n, 40), *[(c, 40 + 2 * guard) for c in counts], (n, 40 + guard)]
+    assert sol.diagnostics["factor_digits"] == 40 + guard
 
 
 def test_ps_cond_al_matches_the_lu_estimate():
